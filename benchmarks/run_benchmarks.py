@@ -7,16 +7,11 @@ three Γ evaluation strategies and **both matcher backends** (the slot
 backtracker), and writes ``BENCH_park.json`` with wall time, round
 counts, and firings/sec per (workload, strategy, backend), plus two
 derived speedups: each delta strategy over naive (on the default
-compiled backend) and compiled over interpreted per strategy.  A
-storage leg additionally times both relation layouts (``columnar`` and
-``row``) under both matcher backends and derives the columnar-over-row
-speedup per backend.  A groups leg times every strategy with the
-certified-parallel-group batching on vs off (``facts_groups``) and
-records the certificate size per workload.  While timing, the runner
-also asserts that every (strategy, backend, storage, grouping)
-combination stays bit-identical (atoms, blocked set, rounds, restarts,
-firings), so a regression shows up as a hard failure rather than a
-silently wrong speedup.
+compiled backend) and compiled over interpreted per strategy.  While
+timing, the runner also asserts that every (strategy, backend)
+combination and the ``facts=True`` run stay bit-identical (atoms,
+blocked set, rounds, restarts, firings), so a regression shows up as a
+hard failure rather than a silently wrong speedup.
 
 Usage::
 
@@ -50,13 +45,11 @@ import sys
 import time
 
 from repro.engine.match import clear_compile_cache, set_matcher_backend
-from repro.lint import ProgramFacts
 from repro.obs import Metrics
 from repro.testing import sanitize as _sanitize
 from repro.obs.audit import AuditLog, DecisionTrail
 from repro.obs.export import write_prometheus
 from repro.obs.profile import PHASES
-from repro.storage.relation import get_storage_backend, set_storage_backend
 from repro.workloads import (
     conflict_cascade,
     deactivation_batch,
@@ -68,7 +61,6 @@ from repro.workloads import (
 
 STRATEGIES = ("naive", "seminaive", "incremental")
 BACKENDS = ("compiled", "interpreted")
-STORAGES = ("columnar", "row")
 
 
 def _workloads(quick=False):
@@ -121,7 +113,7 @@ def _time_facts_run(workload, repeats):
     """Best-of-N for the default configuration with static facts enabled.
 
     ``facts=True`` makes the engine analyze the program at run start and
-    take every gated fast path it can prove sound (conflict-scan skip,
+    take every static fast path it can prove sound (conflict-scan skip,
     auto-seminaive, dead-rule pruning); the caller asserts the result
     fingerprint stayed identical.
     """
@@ -136,86 +128,6 @@ def _time_facts_run(workload, repeats):
         if best is None or elapsed < best:
             best = elapsed
     return best, result
-
-
-def _groups_leg(name, workload, repeats, baseline):
-    """Group-batched collection on vs off, per strategy (compiled backend).
-
-    Times every strategy twice with static facts enabled — once with the
-    certified-group batching gate on (the default) and once with
-    ``facts_groups=False`` — asserts both fingerprints reproduce the
-    ungated baseline bit-for-bit, and derives the on/off speedup.  Also
-    records the certificate itself: how many parallel groups the
-    analysis found and how many hold more than one rule.
-    """
-    facts = ProgramFacts.analyze(workload.program)
-    leg = {
-        "parallel_groups": len(facts.parallel_groups),
-        "multi_rule_groups": sum(
-            1 for group in facts.parallel_groups if len(group.rules) > 1
-        ),
-    }
-    set_matcher_backend("compiled")
-    clear_compile_cache()
-    for strategy in STRATEGIES:
-        cell = {}
-        for label, options in (
-            ("grouped", {"facts": True}),
-            ("ungrouped", {"facts": True, "facts_groups": False}),
-        ):
-            best = None
-            result = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = workload.run(evaluation=strategy, **options)
-                elapsed = time.perf_counter() - start
-                if best is None or elapsed < best:
-                    best = elapsed
-            if _fingerprint(result) != baseline:
-                raise AssertionError(
-                    "groups leg (%s, %s) diverged from the baseline on "
-                    "workload %s" % (strategy, label, name)
-                )
-            cell[label] = {"wall_time_s": round(best, 6)}
-        cell["groups_speedup"] = round(
-            cell["ungrouped"]["wall_time_s"] / cell["grouped"]["wall_time_s"],
-            2,
-        )
-        leg[strategy] = cell
-    return leg
-
-
-def _storage_leg(name, workload, repeats, baseline):
-    """Both relation layouts under both matcher backends (naive strategy).
-
-    The main leg above already times the default layout (columnar); this
-    leg re-times naive/compiled and naive/interpreted under each layout
-    explicitly, asserts every combination reproduces the baseline
-    fingerprint bit-for-bit, and derives the columnar-over-row speedup
-    per backend.  Caller restores the default layout afterwards.
-    """
-    leg = {}
-    for storage in STORAGES:
-        set_storage_backend(storage)
-        cell = {}
-        for backend in BACKENDS:
-            seconds, result = _time_workload(workload, "naive", backend, repeats)
-            if _fingerprint(result) != baseline:
-                raise AssertionError(
-                    "storage layout %s/%s diverged from the baseline on "
-                    "workload %s" % (storage, backend, name)
-                )
-            cell[backend] = {"wall_time_s": round(seconds, 6)}
-        leg[storage] = cell
-    leg["columnar_speedup"] = {
-        backend: round(
-            leg["row"][backend]["wall_time_s"]
-            / leg["columnar"][backend]["wall_time_s"],
-            2,
-        )
-        for backend in BACKENDS
-    }
-    return leg
 
 
 def _geomean(values):
@@ -427,11 +339,9 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
         "metrics": metrics,
         "strategies": list(STRATEGIES),
         "backends": list(BACKENDS),
-        "storages": list(STORAGES),
         "workloads": {},
     }
     workloads = _workloads(quick=quick)
-    default_storage = get_storage_backend()
     try:
         for name, workload in workloads:
             entry = {}
@@ -492,9 +402,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
                     2,
                 ),
             }
-            entry["groups"] = _groups_leg(name, workload, repeats, baseline)
-            entry["storage"] = _storage_leg(name, workload, repeats, baseline)
-            set_storage_backend(default_storage)
             if metrics:
                 entry["telemetry"] = _workload_telemetry(name, workload)
             report["workloads"][name] = entry
@@ -515,28 +422,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
                         entry["backend_speedup_geomean"],
                     )
                 )
-                print(
-                    "%-12s storage columnar/row: compiled %.2fx   "
-                    "interpreted %.2fx"
-                    % (
-                        "",
-                        entry["storage"]["columnar_speedup"]["compiled"],
-                        entry["storage"]["columnar_speedup"]["interpreted"],
-                    )
-                )
-                print(
-                    "%-12s groups: %d certified (%d multi-rule)   "
-                    "batched/unbatched naive %.2fx  seminaive %.2fx  "
-                    "incremental %.2fx"
-                    % (
-                        "",
-                        entry["groups"]["parallel_groups"],
-                        entry["groups"]["multi_rule_groups"],
-                        entry["groups"]["naive"]["groups_speedup"],
-                        entry["groups"]["seminaive"]["groups_speedup"],
-                        entry["groups"]["incremental"]["groups_speedup"],
-                    )
-                )
         if metrics:
             report["telemetry_overhead"] = _overhead_check(
                 workloads, repeats, overhead_tolerance, verbose=verbose
@@ -544,7 +429,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
             report["artifacts"] = _telemetry_artifacts(out, verbose=verbose)
     finally:
         set_matcher_backend("compiled")
-        set_storage_backend(default_storage)
         clear_compile_cache()
     doubled = [
         name
@@ -564,12 +448,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
         if entry["facts"]["speedup_vs_naive"] >= 1.2
     ]
     report["facts_accelerated_workloads"] = facts_wins
-    columnar_wins = [
-        name
-        for name, entry in report["workloads"].items()
-        if entry["storage"]["columnar_speedup"]["compiled"] >= 1.2
-    ]
-    report["columnar_accelerated_workloads"] = columnar_wins
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -592,14 +470,6 @@ def run(repeats=3, out="BENCH_park.json", verbose=True, quick=False,
                 len(facts_wins),
                 len(report["workloads"]),
                 ", ".join(facts_wins),
-            )
-        )
-        print(
-            "columnar >= 1.2x row (compiled) on %d/%d workloads: %s"
-            % (
-                len(columnar_wins),
-                len(report["workloads"]),
-                ", ".join(columnar_wins),
             )
         )
         print("wrote %s" % out)

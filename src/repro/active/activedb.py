@@ -22,7 +22,7 @@ from time import perf_counter
 from ..core.blocking import BlockingMode
 from ..core.engine import ParkEngine
 from ..engine.plancache import PlanCache
-from ..errors import LanguageError, TransactionError
+from ..errors import LanguageError, SchemaError, TransactionError
 from ..lang.atoms import Atom
 from ..lang.program import Program
 from ..lang.rules import Rule
@@ -133,7 +133,8 @@ class ActiveDatabase:
         """Rows matching a pattern; ``None`` is a wildcard.
 
         ``db.select("payroll", "joe", None)`` returns the rows whose first
-        column is ``"joe"``.
+        column is ``"joe"``.  Binding a column at or past the relation's
+        arity raises :class:`~repro.errors.SchemaError`.
         """
         relation = self._database.relation(predicate)
         if relation is None:
@@ -143,6 +144,11 @@ class ActiveDatabase:
             for position, value in enumerate(pattern)
             if value is not None
         }
+        if bound and max(bound) >= relation.arity:
+            raise SchemaError(
+                "predicate %r has arity %d, pattern binds column %d"
+                % (predicate, relation.arity, max(bound))
+            )
         return sorted(relation.candidates(bound), key=str)
 
     def __len__(self):

@@ -18,6 +18,7 @@ import enum
 
 from ..errors import TransactionError
 from ..lang.atoms import Atom
+from ..lang.pretty import is_bare_identifier
 from ..lang.terms import Constant
 from ..lang.updates import Update, UpdateOp
 
@@ -53,8 +54,15 @@ class Transaction:
 
     # -- staging -----------------------------------------------------------------
 
-    @staticmethod
-    def _atom(predicate_or_atom, values):
+    def _atom(self, predicate_or_atom, values):
+        # Staged updates are journaled as text and parsed back on recovery,
+        # so a predicate the lexer would not read back as one identifier
+        # would make the committed history unrecoverable.
+        predicate = getattr(predicate_or_atom, "predicate", predicate_or_atom)
+        if not (isinstance(predicate, str) and is_bare_identifier(predicate)):
+            raise TransactionError(
+                "predicate %r is not a lower-case identifier" % (predicate,)
+            )
         if isinstance(predicate_or_atom, Atom):
             if values:
                 raise TransactionError(
@@ -67,6 +75,12 @@ class Transaction:
             )
         if not atom.is_ground():
             raise TransactionError("transaction updates must be ground: %s" % atom)
+        schema = self._db.database.catalog.get(atom.predicate)
+        if schema is not None and schema.arity != atom.arity:
+            raise TransactionError(
+                "predicate %r has arity %d, staged %s has arity %d"
+                % (atom.predicate, schema.arity, atom, atom.arity)
+            )
         return atom
 
     def insert(self, predicate_or_atom, *values):

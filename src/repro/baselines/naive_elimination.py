@@ -86,10 +86,10 @@ def naive_elimination(program, database, updates=None, policy=None):
 
 
 def _as_db(database):
-    from ..storage.database import Database, ensure_storage
+    from ..storage.database import Database
 
     if isinstance(database, Database):
-        return ensure_storage(database)
+        return database
     if isinstance(database, str):
         return Database.from_text(database)
     return Database(database)

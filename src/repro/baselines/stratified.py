@@ -16,7 +16,7 @@ from ..engine.match import fireable_heads
 from ..engine.views import FactsView
 from ..errors import EngineError, NonTerminationError
 from ..lang.program import Program
-from ..storage.database import Database, ensure_storage
+from ..storage.database import Database
 
 
 class _StratumView(FactsView):
@@ -109,8 +109,6 @@ def stratified_fixpoint(program, database, max_rounds=None):
         database = Database.from_text(database)
     elif not isinstance(database, Database):
         database = Database(database)
-    else:
-        database = ensure_storage(database)
     _validate(program)
 
     graph = DependencyGraph(program)

@@ -30,7 +30,7 @@ from ..engine.match import fireable_heads
 from ..engine.views import FactsView, _atom_from_row
 from ..errors import EngineError, NonTerminationError
 from ..lang.program import Program
-from ..storage.database import Database, ensure_storage
+from ..storage.database import Database
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,6 @@ def well_founded(program, database, max_alternations=None):
         database = Database.from_text(database)
     elif not isinstance(database, Database):
         database = Database(database)
-    else:
-        database = ensure_storage(database)
     _validate(program)
 
     true_set = frozenset()

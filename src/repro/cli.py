@@ -141,11 +141,6 @@ def _build_parser():
         help="body-matching backend (bit-identical results; defaults to "
         "$REPRO_MATCHER or 'compiled')",
     )
-    run.add_argument(
-        "--storage", choices=["columnar", "row"], default=None,
-        help="relation storage layout (bit-identical results; defaults to "
-        "$REPRO_STORAGE or 'columnar')",
-    )
     run.add_argument("--trace", action="store_true", help="print the trace")
     run.add_argument("--stats", action="store_true", help="print run counters")
     run.add_argument(
@@ -178,8 +173,8 @@ def _build_parser():
     run.add_argument(
         "--facts", action="store_true",
         help="analyze the program first and enable the static fast paths "
-        "(conflict-scan skip, auto-seminaive, dead-rule pruning, "
-        "group-batched collection); results are bit-identical",
+        "(conflict-scan skip, auto-seminaive, dead-rule pruning); "
+        "results are bit-identical",
     )
     run.add_argument(
         "--sanitize", choices=["independence"], default=None,
@@ -187,12 +182,6 @@ def _build_parser():
         "each round's observed effects against the certified parallel "
         "groups and fails (exit 2) on a certificate violation; also "
         "enabled by $REPRO_SANITIZE",
-    )
-    run.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="collect Γ firings on N worker processes over hash-sharded "
-        "partitions (bit-identical results; defaults to $REPRO_PARALLEL; "
-        "below 2 stays sequential)",
     )
 
     profile = commands.add_parser(
@@ -215,9 +204,6 @@ def _build_parser():
     )
     profile.add_argument(
         "--matcher", choices=["compiled", "interpreted"], default=None,
-    )
-    profile.add_argument(
-        "--storage", choices=["columnar", "row"], default=None,
     )
     profile.add_argument(
         "--top", type=int, default=None, metavar="N",
@@ -247,10 +233,6 @@ def _build_parser():
     profile.add_argument(
         "--sanitize", choices=["independence"], default=None,
         help="runtime sanitizer (implies --facts); see 'repro run'",
-    )
-    profile.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="collect Γ firings on N worker processes (see 'repro run')",
     )
 
     check = commands.add_parser(
@@ -412,10 +394,6 @@ def _command_run(args, out):
         from .engine.match import set_matcher_backend
 
         set_matcher_backend(args.matcher)
-    if getattr(args, "storage", None):
-        from .storage.relation import set_storage_backend
-
-        set_storage_backend(args.storage)
     program, database, updates = _load_inputs(args)
     recorder = TraceRecorder() if args.trace else None
     metrics = Metrics() if args.metrics or args.prom_out else None
@@ -449,7 +427,6 @@ def _command_run(args, out):
         if getattr(args, "facts", False) or sanitize_spec
         else None,
         plan_cache=DEFAULT_PLAN_CACHE,
-        parallel=getattr(args, "parallel", None),
     )
     try:
         result = engine.run(program, database, updates=updates)
@@ -492,12 +469,9 @@ def _command_run(args, out):
 def _command_profile(args, out):
     from .engine.match import get_matcher_backend, set_matcher_backend
     from .obs import Tracer, hotspot_report, render_profile
-    from .storage.relation import get_storage_backend, set_storage_backend
 
     if args.matcher:
         set_matcher_backend(args.matcher)
-    if args.storage:
-        set_storage_backend(args.storage)
     program = _parse_rules_for_run(_read(args.rules), args.rules)
     database = (
         Database(parse_database(_read(args.db))) if args.db else Database()
@@ -524,18 +498,14 @@ def _command_profile(args, out):
         tracer=tracer,
         facts=True if args.facts or args.sanitize else None,
         plan_cache=DEFAULT_PLAN_CACHE,
-        parallel=args.parallel,
     )
     meta = {
         "rules": args.rules,
         "policy": args.policy,
         "evaluation": args.evaluation,
         "matcher": args.matcher or get_matcher_backend(),
-        "storage": args.storage or get_storage_backend(),
         "blocking": args.blocking,
     }
-    if engine.parallel > 1:
-        meta["parallel"] = engine.parallel
     if args.db:
         meta["db"] = args.db
     result = None

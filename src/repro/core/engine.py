@@ -27,29 +27,24 @@ Static fast paths (DESIGN.md §8): construct with ``facts=True`` (analyze
 at run start) or a precomputed :class:`~repro.lint.facts.ProgramFacts`,
 and the run may (a) skip per-round conflict detection when the program is
 statically conflict-free, (b) route a stratifiable program from the
-``naive`` strategy onto ``seminaive``, (c) prune statically-dead
-rules from matcher compilation, and (d) batch ``Γ`` collection per
-certified independent rule group (the commutativity analysis's PARK043
-certificate).  Each path is individually gated
-(``facts_conflict_skip`` / ``facts_seminaive`` / ``facts_prune`` /
-``facts_groups``) and semantics-preserving: the run's fingerprint
-(atoms, blocked, rounds, restarts, firings) is bit-identical to the
-ungated run.  Facts that do not describe the run program ``P_U``
+``naive`` strategy onto ``seminaive``, and (c) prune statically-dead
+rules from matcher compilation.  All three are semantics-preserving: the
+run's fingerprint (atoms, blocked, rounds, restarts, firings) is
+bit-identical to the ``facts=None`` run, which stays available as the
+oracle.  Facts that do not describe the run program ``P_U``
 (transaction rules change the emitters) are re-derived against it, with
 the run's database sharpening liveness — soundness never rests on the
 caller.  With the independence sanitizer active
 (``REPRO_SANITIZE=independence``, see :mod:`repro.testing.sanitize`),
 every consistent round's observed reads and writes are checked against
-the group certificate and a violation raises
+the PARK043 independence certificate and a violation raises
 :class:`~repro.testing.sanitize.SanitizerError` (exit 2 via the CLI).
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
-from ..engine.planner import group_schedule
 from ..errors import NonTerminationError
 from ..lang.program import Program
 from ..obs import audit as _audit
@@ -57,7 +52,7 @@ from ..obs import metrics as _obs
 from ..testing import sanitize as _sanitize
 from ..policies.base import as_policy
 from ..storage.catalog import INTERNER
-from ..storage.database import Database, ensure_storage
+from ..storage.database import Database
 from ..storage.delta import Delta
 from .blocking import BlockingMode, resolve_conflicts
 from .conflicts import build_conflicts
@@ -111,11 +106,8 @@ def _coerce_program(program):
 
 
 def _coerce_database(database):
-    # A prebuilt Database may predate a storage-backend switch (tests and
-    # benchmarks flip backends mid-process); converge it so a run never
-    # mixes row and columnar relations.
     if isinstance(database, Database):
-        return ensure_storage(database)
+        return database
     if isinstance(database, str):
         return Database.from_text(database)
     return Database(database)
@@ -140,12 +132,7 @@ class ParkEngine:
         tracer=None,
         audit=None,
         facts=None,
-        facts_conflict_skip=True,
-        facts_seminaive=True,
-        facts_prune=True,
-        facts_groups=True,
         plan_cache=None,
-        parallel=None,
     ):
         if policy is None:
             from ..policies.inertia import InertiaPolicy
@@ -173,20 +160,10 @@ class ParkEngine:
         # ``facts``: None (off), True (analyze at run start), or a
         # precomputed lint.facts.ProgramFacts for the program being run.
         self.facts = facts
-        self.facts_conflict_skip = facts_conflict_skip
-        self.facts_seminaive = facts_seminaive
-        self.facts_prune = facts_prune
-        self.facts_groups = facts_groups
         # ``plan_cache``: an optional engine.plancache.PlanCache consulted
         # whenever facts must be (re)derived, so repeated runs of the same
         # program (ActiveDatabase commits, benchmark reps) skip re-analysis.
         self.plan_cache = plan_cache
-        # ``parallel``: worker count for sharded Γ collection (see
-        # repro.engine.parallel); None reads REPRO_PARALLEL, and anything
-        # below 2 keeps the sequential oracle.
-        if parallel is None:
-            parallel = os.environ.get("REPRO_PARALLEL") or 0
-        self.parallel = int(parallel)
 
     # -- events ----------------------------------------------------------------
 
@@ -285,33 +262,22 @@ class ParkEngine:
         trail = _audit.ACTIVE
         self._emit("on_start", run_program, original, self.policy.name)
 
-        # Static fast paths: each one is individually gated and preserves
-        # the run's semantic fingerprint bit-for-bit (see class docstring).
+        # Static fast paths: each one preserves the run's semantic
+        # fingerprint bit-for-bit (see the module docstring).
         facts = self._resolve_facts(run_program, original)
         skip_conflict_scan = False
         evaluation_name = self.evaluation
         matcher_program = run_program
-        groups = None
         if facts is not None:
-            skip_conflict_scan = self.facts_conflict_skip and facts.conflict_free
-            if (
-                self.facts_seminaive
-                and facts.stratifiable
-                and evaluation_name == "naive"
-            ):
+            skip_conflict_scan = facts.conflict_free
+            if facts.stratifiable and evaluation_name == "naive":
                 # Any strategy computes the same rounds; stratifiable
                 # programs are where the monotone split pays off.
                 evaluation_name = "seminaive"
-            if self.facts_prune and facts.dead:
+            if facts.dead:
                 # Dead rules can never fire, so the matcher need not
                 # compile or probe them; firings are unchanged.
                 matcher_program = facts.live_program(run_program)
-            if self.facts_groups and facts.parallel_groups:
-                # Group-batched collection: the schedule covers exactly
-                # the live rules, in certified-independent batches; the
-                # strategies fold unscheduled (dead, when pruning is off)
-                # rules into a trailing batch of their own.
-                groups = group_schedule(run_program, facts)
             if metrics is not None:
                 metrics.gauge(
                     "engine.facts_conflict_free", int(facts.conflict_free)
@@ -321,35 +287,16 @@ class ParkEngine:
                     "engine.facts_auto_seminaive",
                     int(evaluation_name != self.evaluation),
                 )
-                metrics.gauge(
-                    "engine.facts_parallel_groups",
-                    len(groups) if groups is not None else 0,
-                )
 
         if trail is not None:
             trail.start(run_program, original, self.policy.name, evaluation_name)
-
-        # Parallel Γ collection: spawn the worker pool once per run.  The
-        # executor may decline (tiny input, <2 workers) in which case the
-        # sequential oracle runs exactly as before.
-        executor = None
-        if self.parallel > 1:
-            from ..engine.parallel import ParallelExecutor
-
-            candidate = ParallelExecutor(self.parallel)
-            if candidate.begin_run(tuple(matcher_program), original, groups=groups):
-                executor = candidate
 
         stats = RunStats()
         blocked = set()
         provenance = Provenance()
         interpretation = IInterpretation.from_database(original)
         epoch = 1
-        if executor is not None:
-            executor.begin_epoch()
-        evaluator = make_evaluation(
-            evaluation_name, matcher_program, blocked, groups=groups, executor=executor
-        )
+        evaluator = make_evaluation(evaluation_name, matcher_program, blocked)
         last_new_updates = None
         # The independence sanitizer (REPRO_SANITIZE=independence) checks
         # each consistent round's observed effects against the certified
@@ -361,146 +308,132 @@ class ParkEngine:
             metrics.gauge("engine.program_rules", len(run_program))
             metrics.gauge("storage.intern_table_size", len(INTERNER))
 
-        try:
-            while True:
-                stats.rounds += 1
-                if self.max_rounds is not None and stats.rounds > self.max_rounds:
-                    raise NonTerminationError(
-                        "PARK exceeded max_rounds=%d" % self.max_rounds
-                    )
-                round_span = (
-                    tracer.begin("engine.round", round=stats.rounds, epoch=epoch)
-                    if tracer is not None
-                    else None
+        while True:
+            stats.rounds += 1
+            if self.max_rounds is not None and stats.rounds > self.max_rounds:
+                raise NonTerminationError(
+                    "PARK exceeded max_rounds=%d" % self.max_rounds
                 )
-                if metrics is not None:
-                    metrics.inc("engine.rounds")
-                    match_start = perf_counter()
-                if tracer is not None:
-                    match_span = tracer.begin("match.gamma")
-                firings = evaluator.compute(interpretation, last_new_updates)
-                if tracer is not None:
-                    tracer.end(match_span)
-                if metrics is not None:
-                    metrics.observe("phase.match", perf_counter() - match_start)
-                    metrics.inc("engine.firings", evaluator.last_firing_count)
-                result = GammaResult(
-                    interpretation, firings, assume_consistent=skip_conflict_scan
-                )
-                # Firings are counted by the strategies as they collect them,
-                # so the total is free whether or not anyone is listening.
-                stats.firings_total += evaluator.last_firing_count
-                if have_listeners:
-                    self._emit("on_round", stats.rounds, epoch, result)
+            round_span = (
+                tracer.begin("engine.round", round=stats.rounds, epoch=epoch)
+                if tracer is not None
+                else None
+            )
+            if metrics is not None:
+                metrics.inc("engine.rounds")
+                match_start = perf_counter()
+            if tracer is not None:
+                match_span = tracer.begin("match.gamma")
+            firings = evaluator.compute(interpretation, last_new_updates)
+            if tracer is not None:
+                tracer.end(match_span)
+            if metrics is not None:
+                metrics.observe("phase.match", perf_counter() - match_start)
+                metrics.inc("engine.firings", evaluator.last_firing_count)
+            result = GammaResult(
+                interpretation, firings, assume_consistent=skip_conflict_scan
+            )
+            # Firings are counted by the strategies as they collect them,
+            # so the total is free whether or not anyone is listening.
+            stats.firings_total += evaluator.last_firing_count
+            if have_listeners:
+                self._emit("on_round", stats.rounds, epoch, result)
 
-                if result.is_consistent:
-                    if sanitizer is not None:
-                        sanitizer.check_round(facts, result.firings, stats.rounds)
-                    provenance.record(result.firings, round_number=stats.rounds)
-                    if result.reached_fixpoint:
-                        if tracer is not None:
-                            tracer.end(round_span)
-                        break
-                    last_new_updates = result.new_updates
-                    if metrics is not None:
-                        apply_start = perf_counter()
+            if result.is_consistent:
+                if sanitizer is not None:
+                    sanitizer.check_round(facts, result.firings, stats.rounds)
+                provenance.record(result.firings, round_number=stats.rounds)
+                if result.reached_fixpoint:
                     if tracer is not None:
-                        apply_span = tracer.begin("engine.apply")
-                    if have_listeners:
-                        # Listeners may retain the round's GammaResult, whose
-                        # interpretation must stay the pre-apply state.
-                        interpretation = result.apply()
-                    else:
-                        # No outside observer: merge the round's updates in
-                        # place instead of copying all three stores (indexes
-                        # are maintained incrementally by the relations).
-                        interpretation.add_updates(result.new_updates)
-                    if tracer is not None:
-                        tracer.end(apply_span)
                         tracer.end(round_span)
-                    if metrics is not None:
-                        metrics.observe("phase.apply", perf_counter() - apply_start)
-                    self._emit("on_apply", stats.rounds, epoch, interpretation)
-                    continue
-
-                # Conflict branch of Θ: resolve, block, restart from I∅.
+                    break
+                last_new_updates = result.new_updates
                 if metrics is not None:
-                    policy_start = perf_counter()
+                    apply_start = perf_counter()
                 if tracer is not None:
-                    policy_span = tracer.begin(
-                        "policy.resolve", round=stats.rounds, epoch=epoch
-                    )
-                conflicts = build_conflicts(result, blocked, provenance)
-                additions, decisions = resolve_conflicts(
-                    conflicts,
-                    self.policy,
-                    original,
-                    run_program,
-                    interpretation,
-                    blocked,
-                    restarts=stats.restarts,
-                    mode=self.blocking_mode,
-                )
-                if tracer is not None:
-                    tracer.end(policy_span)
-                if metrics is not None:
-                    metrics.observe("phase.policy", perf_counter() - policy_start)
-                    metrics.inc("engine.conflicts_resolved", len(decisions))
-                new_instances = additions - blocked
-                if not new_instances:
-                    raise NonTerminationError(
-                        "conflict resolution added no new blocked instances "
-                        "(policy %s cannot make progress)" % self.policy.name
-                    )
+                    apply_span = tracer.begin("engine.apply")
                 if have_listeners:
-                    self._emit(
-                        "on_conflicts",
-                        stats.rounds,
-                        epoch,
-                        tuple(conflicts),
-                        tuple(decisions),
-                        frozenset(new_instances),
-                    )
-                blocked |= new_instances
-                stats.restarts += 1
-                stats.conflicts_resolved += len(decisions)
-                if trail is not None:
-                    # Archive the dying epoch's provenance *before* the restart
-                    # clears it — the decision trail keeps what Θ discards.
-                    trail.blocked(new_instances)
-                    trail.archive_epoch(provenance)
-                    trail.restart(len(blocked))
-                if (
-                    self.max_restarts is not None
-                    and stats.restarts > self.max_restarts
-                ):
-                    raise NonTerminationError(
-                        "PARK exceeded max_restarts=%d" % self.max_restarts
-                    )
-                epoch += 1
-                interpretation = interpretation.restarted()
-                provenance.clear()
-                if executor is not None:
-                    # The workers' replicas restart from I∅ exactly like the
-                    # parent's interpretation just did.
-                    executor.begin_epoch()
-                evaluator = make_evaluation(
-                    evaluation_name,
-                    matcher_program,
-                    blocked,
-                    groups=groups,
-                    executor=executor,
-                )
-                last_new_updates = None
-                if metrics is not None:
-                    metrics.inc("engine.restarts")
+                    # Listeners may retain the round's GammaResult, whose
+                    # interpretation must stay the pre-apply state.
+                    interpretation = result.apply()
+                else:
+                    # No outside observer: merge the round's updates in
+                    # place instead of copying all three stores (indexes
+                    # are maintained incrementally by the relations).
+                    interpretation.add_updates(result.new_updates)
                 if tracer is not None:
+                    tracer.end(apply_span)
                     tracer.end(round_span)
-                if have_listeners:
-                    self._emit("on_restart", epoch, frozenset(blocked))
-        finally:
-            if executor is not None:
-                executor.close()
+                if metrics is not None:
+                    metrics.observe("phase.apply", perf_counter() - apply_start)
+                self._emit("on_apply", stats.rounds, epoch, interpretation)
+                continue
+
+            # Conflict branch of Θ: resolve, block, restart from I∅.
+            if metrics is not None:
+                policy_start = perf_counter()
+            if tracer is not None:
+                policy_span = tracer.begin(
+                    "policy.resolve", round=stats.rounds, epoch=epoch
+                )
+            conflicts = build_conflicts(result, blocked, provenance)
+            additions, decisions = resolve_conflicts(
+                conflicts,
+                self.policy,
+                original,
+                run_program,
+                interpretation,
+                blocked,
+                restarts=stats.restarts,
+                mode=self.blocking_mode,
+            )
+            if tracer is not None:
+                tracer.end(policy_span)
+            if metrics is not None:
+                metrics.observe("phase.policy", perf_counter() - policy_start)
+                metrics.inc("engine.conflicts_resolved", len(decisions))
+            new_instances = additions - blocked
+            if not new_instances:
+                raise NonTerminationError(
+                    "conflict resolution added no new blocked instances "
+                    "(policy %s cannot make progress)" % self.policy.name
+                )
+            if have_listeners:
+                self._emit(
+                    "on_conflicts",
+                    stats.rounds,
+                    epoch,
+                    tuple(conflicts),
+                    tuple(decisions),
+                    frozenset(new_instances),
+                )
+            blocked |= new_instances
+            stats.restarts += 1
+            stats.conflicts_resolved += len(decisions)
+            if trail is not None:
+                # Archive the dying epoch's provenance *before* the restart
+                # clears it — the decision trail keeps what Θ discards.
+                trail.blocked(new_instances)
+                trail.archive_epoch(provenance)
+                trail.restart(len(blocked))
+            if (
+                self.max_restarts is not None
+                and stats.restarts > self.max_restarts
+            ):
+                raise NonTerminationError(
+                    "PARK exceeded max_restarts=%d" % self.max_restarts
+                )
+            epoch += 1
+            interpretation = interpretation.restarted()
+            provenance.clear()
+            evaluator = make_evaluation(evaluation_name, matcher_program, blocked)
+            last_new_updates = None
+            if metrics is not None:
+                metrics.inc("engine.restarts")
+            if tracer is not None:
+                tracer.end(round_span)
+            if have_listeners:
+                self._emit("on_restart", epoch, frozenset(blocked))
 
         stats.blocked_instances = len(blocked)
         if trail is not None:

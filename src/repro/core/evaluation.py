@@ -40,16 +40,6 @@ property-tested (``tests/property/test_evaluation_modes.py``) and the
 speedup is measured by the A4 ablation benchmarks and
 ``benchmarks/run_benchmarks.py``.
 
-All three strategies accept an optional certified **group schedule**
-(``groups=``, built by :func:`repro.engine.planner.group_schedule` from
-the commutativity analysis): rule batches whose members have pairwise
-disjoint effect sets.  Collection then proceeds batch by batch — the
-same firings in a rearranged order, so the fingerprint is untouched,
-but each batch is a unit a parallel executor could hand out wholesale,
-and the runtime independence sanitizer
-(:mod:`repro.testing.sanitize`) cross-checks the certificate against
-the atoms each batch actually touches.
-
 Blocked sets only grow at restarts, so an evaluator is valid for exactly
 one epoch; the engine constructs a fresh one after every restart.
 
@@ -84,38 +74,6 @@ def _is_monotone(rule):
         isinstance(literal, Condition) and literal.positive
         for literal in rule.body
     )
-
-
-def _group_batches(rules, groups):
-    """Partition *rules* into the certified batch order, or ``None``.
-
-    *groups* is the engine's group schedule (tuples of rules with
-    pairwise disjoint effects, see
-    :func:`repro.engine.planner.group_schedule`); the result restricts
-    each batch to the rules in *rules* (a strategy may batch only its
-    monotone or only its volatile fragment), dropping empty batches.
-    Rules absent from every group (possible only when dead-rule pruning
-    is off: dead rules are not scheduled) are appended as a final batch —
-    they never fire, so their position is unobservable.
-    """
-    if groups is None:
-        return None
-    batch_of = {}
-    for position, group in enumerate(groups):
-        for rule in group:
-            batch_of.setdefault(rule, position)
-    batches = [[] for _ in groups]
-    unscheduled = []
-    for rule in rules:
-        position = batch_of.get(rule)
-        if position is None:
-            unscheduled.append(rule)
-        else:
-            batches[position].append(rule)
-    result = [tuple(batch) for batch in batches if batch]
-    if unscheduled:
-        result.append(tuple(unscheduled))
-    return tuple(result)
 
 
 def _is_epoch_monotone(rule):
@@ -157,11 +115,9 @@ class NaiveEvaluation:
 
     name = "naive"
 
-    def __init__(self, program, blocked, groups=None, executor=None):
+    def __init__(self, program, blocked):
         self.program = program
         self.blocked = frozenset(blocked)
-        self._batches = _group_batches(tuple(program), groups)
-        self._executor = executor
         self._frozen = {}  # previous round's Update -> frozenset, for reuse
         self.last_firing_count = 0
 
@@ -169,15 +125,7 @@ class NaiveEvaluation:
         """All valid unblocked firings: ``{head Update: frozenset[RuleGrounding]}``."""
         view = InterpretationView(interpretation)
         firings = {}
-        count = _collect_all(
-            self.program,
-            self._batches,
-            self.blocked,
-            view,
-            firings,
-            self._executor,
-            interpretation,
-        )
+        count = _collect_all(self.program, self.blocked, view, firings)
         self.last_firing_count = count
         # Reuse last round's frozenset when a head's instance set did not
         # change — the common case in a converging fixpoint.  Downstream
@@ -336,41 +284,11 @@ def _collect(rule, blocked, view, into):
     return added
 
 
-def _collect_all(rules, batches, blocked, view, into, executor=None, interpretation=None):
-    """Full-match *rules* into *into*, group-batched when *batches* is set.
-
-    *batches* is the strategy's :func:`_group_batches` restriction (or
-    ``None`` for plain rule order).  Within a batch the rules' effect
-    sets are certified disjoint, so the batch's internal order is
-    unobservable; collection lands in one shared dict either way, which
-    is what keeps the fast path fingerprint-identical.  Returns the
-    number of instances actually new in *into*.
-
-    With an *executor* (a :class:`repro.engine.parallel.ParallelExecutor`)
-    and the backing *interpretation*, the whole collect is offered to the
-    parallel workers first; the executor either returns the same
-    added-count with identical dedup semantics, or declines (``None``)
-    and the sequential oracle below runs instead.
-    """
-    if executor is not None and interpretation is not None:
-        added = executor.collect_all(rules, blocked, interpretation, into)
-        if added is not None:
-            if batches is not None:
-                m = _obs.ACTIVE
-                if m is not None:
-                    m.inc("eval.group_batches", len(batches))
-            return added
+def _collect_all(rules, blocked, view, into):
+    """Full-match *rules* into *into*; returns the number of new instances."""
     added = 0
-    if batches is None:
-        for rule in rules:
-            added += _collect(rule, blocked, view, into)
-        return added
-    for batch in batches:
-        for rule in batch:
-            added += _collect(rule, blocked, view, into)
-    m = _obs.ACTIVE
-    if m is not None:
-        m.inc("eval.group_batches", len(batches))
+    for rule in rules:
+        added += _collect(rule, blocked, view, into)
     return added
 
 
@@ -405,17 +323,14 @@ class SemiNaiveEvaluation:
 
     name = "seminaive"
 
-    def __init__(self, program, blocked, groups=None, executor=None):
+    def __init__(self, program, blocked):
         self.blocked = frozenset(blocked)
-        self._executor = executor
         self.monotone_rules = []
         self.volatile_rules = []
         for rule in program:
             (self.monotone_rules if _is_monotone(rule) else self.volatile_rules).append(
                 rule
             )
-        self._monotone_batches = _group_batches(self.monotone_rules, groups)
-        self._volatile_batches = _group_batches(self.volatile_rules, groups)
         # One delta variant per positive body literal of each monotone rule,
         # with that literal's predicate renamed into the shadow namespace.
         # The variant keeps the original rule for grounding identity.
@@ -448,13 +363,7 @@ class SemiNaiveEvaluation:
         if not self._first_round_done:
             # Epoch round 1: full match of the monotone fragment.
             self._monotone_total += _collect_all(
-                self.monotone_rules,
-                self._monotone_batches,
-                self.blocked,
-                view,
-                self._accumulated,
-                self._executor,
-                interpretation,
+                self.monotone_rules, self.blocked, view, self._accumulated
             )
             self._first_round_done = True
             touched.update(self._accumulated)
@@ -490,15 +399,7 @@ class SemiNaiveEvaluation:
             return dict(frozen)
 
         firings = {head: set(instances) for head, instances in accumulated.items()}
-        count += _collect_all(
-            self.volatile_rules,
-            self._volatile_batches,
-            self.blocked,
-            view,
-            firings,
-            self._executor,
-            interpretation,
-        )
+        count += _collect_all(self.volatile_rules, self.blocked, view, firings)
         self.last_firing_count = count
         if a is not None:
             a.round(self.name, count)
@@ -528,9 +429,8 @@ class IncrementalEvaluation:
 
     name = "incremental"
 
-    def __init__(self, program, blocked, groups=None, executor=None):
+    def __init__(self, program, blocked):
         self.blocked = frozenset(blocked)
-        self._executor = executor
         self.monotone_rules = []
         self.volatile_rules = []
         for rule in program:
@@ -539,8 +439,6 @@ class IncrementalEvaluation:
                 if _is_epoch_monotone(rule)
                 else self.volatile_rules
             ).append(rule)
-        self._monotone_batches = _group_batches(self.monotone_rules, groups)
-        self._volatile_batches = _group_batches(self.volatile_rules, groups)
         self._variants = []  # (original_rule, variant_rule)
         for rule in self.monotone_rules:
             for index, literal in enumerate(rule.body):
@@ -579,13 +477,7 @@ class IncrementalEvaluation:
 
         if not self._first_round_done:
             self._monotone_total += _collect_all(
-                self.monotone_rules,
-                self._monotone_batches,
-                self.blocked,
-                view,
-                self._accumulated,
-                self._executor,
-                interpretation,
+                self.monotone_rules, self.blocked, view, self._accumulated
             )
             self._frozen = {
                 head: frozenset(instances)
@@ -614,18 +506,7 @@ class IncrementalEvaluation:
         firings = dict(self._frozen)
         count = self._monotone_total
         m = _obs.ACTIVE
-        if self._volatile_batches is None:
-            volatile_order = self.volatile_rules
-        else:
-            # Group-batched order (certified-disjoint batches); the
-            # per-rule caching below is order-independent, so only the
-            # iteration order — and the batch counter — change.
-            volatile_order = [
-                rule for batch in self._volatile_batches for rule in batch
-            ]
-            if m is not None:
-                m.inc("eval.group_batches", len(self._volatile_batches))
-        for rule in volatile_order:
+        for rule in self.volatile_rules:
             cached = self._volatile_cache.get(rule)
             if (
                 cached is None
@@ -660,19 +541,8 @@ EVALUATION_STRATEGIES = {
 }
 
 
-def make_evaluation(name, program, blocked, groups=None, executor=None):
-    """Instantiate the strategy *name* for one epoch.
-
-    *groups* is an optional certified group schedule
-    (:func:`repro.engine.planner.group_schedule`): rule batches with
-    pairwise disjoint effects that the strategy collects batch by batch
-    — same firings, same fingerprint, but a schedule a parallel executor
-    hands out wholesale.  *executor* is that executor (a
-    :class:`repro.engine.parallel.ParallelExecutor`, already started for
-    this run) or ``None`` for sequential collection; the full-match
-    collects route through it, with sequential fallback whenever it
-    declines.
-    """
+def make_evaluation(name, program, blocked):
+    """Instantiate the strategy *name* for one epoch."""
     try:
         factory = EVALUATION_STRATEGIES[name]
     except KeyError:
@@ -680,4 +550,4 @@ def make_evaluation(name, program, blocked, groups=None, executor=None):
             "unknown evaluation strategy %r (known: %s)"
             % (name, ", ".join(sorted(EVALUATION_STRATEGIES)))
         )
-    return factory(program, blocked, groups=groups, executor=executor)
+    return factory(program, blocked)

@@ -20,7 +20,7 @@ This module compiles a rule once into a *slot program*:
   tested through the view's ``*_holds_row`` methods — no
   :class:`~repro.lang.atoms.Atom` is constructed on the hot path;
 * execution is an **iterative cursor stack** over the bind steps — no
-  recursion, no generator nesting, raw value tuples end to end.
+  recursion, no generator nesting, intern-id tuples end to end.
 
 Substitutions are reconstructed from slots only when a consumer asks
 (``match_rule(freeze=True)``); :func:`repro.engine.match.fireable_heads`
@@ -28,7 +28,7 @@ grounds heads straight from slots via a precompiled head template.
 
 The compiler also collects the non-trivial lookup signatures its plan will
 probe and registers them with the view (``register_lookup``), which lets
-:class:`~repro.storage.relation.Relation` build one composite hash index
+:class:`~repro.storage.relation.ColumnarRelation` build one composite hash index
 per signature and maintain it incrementally — the "lookup-signature
 handshake" — instead of filtering single-column buckets per probe.
 
@@ -49,30 +49,7 @@ from ..lang.terms import Constant
 from ..lang.updates import Update
 from ..obs import metrics as _obs
 from ..storage.catalog import INTERNER
-from ..storage.relation import get_storage_backend
 from .planner import plan_body
-
-_const_intern = {}
-
-
-def _intern_constant(value):
-    """One shared :class:`Constant` per raw value.
-
-    The compiled matcher re-materializes constants from raw storage values
-    on every yield; the domain of values is small (the active domain of the
-    database), so sharing the boxes removes the dominant allocation and
-    keeps their cached hashes warm.
-    """
-    constant = _const_intern.get(value)
-    m = _obs.ACTIVE
-    if constant is None:
-        constant = Constant(value)
-        _const_intern[value] = constant
-        if m is not None:
-            m.inc("intern.const_misses")
-    elif m is not None:
-        m.inc("intern.const_hits")
-    return constant
 
 
 class _BindStep:
@@ -144,7 +121,6 @@ class CompiledProgram:
 
     __slots__ = (
         "rule",
-        "mode",           # storage layout compiled against: "row" | "columnar"
         "nslots",
         "prefix_checks",  # checks scheduled before the first bind step
         "bind_steps",
@@ -162,23 +138,14 @@ class CompiledProgram:
         "_boxed",            # native slot value -> shared Constant
     )
 
-    def __init__(self, rule, view=None, mode=None):
+    def __init__(self, rule, view=None):
         self.rule = rule
-        # The program speaks the storage-native dialect throughout: in
-        # columnar mode every plan constant is encoded to its intern id at
-        # compile time, slots hold ids, and Constants are reconstructed
-        # through the intern table's shared boxes.  A program compiled for
-        # one layout must never run against the other (compile_program
-        # keys its cache by layout).
-        if mode is None:
-            mode = get_storage_backend()
-        self.mode = mode
-        if mode == "columnar":
-            encode = INTERNER.intern
-            self._boxed = INTERNER.constant_of
-        else:
-            encode = None
-            self._boxed = _intern_constant
+        # The program speaks the storage-native dialect throughout: every
+        # plan constant is encoded to its intern id at compile time, slots
+        # hold ids, and Constants are reconstructed through the intern
+        # table's shared boxes.
+        encode = INTERNER.intern
+        self._boxed = INTERNER.constant_of
         slot_of = {}
         prefix_checks = []
         bind_steps = []
@@ -193,7 +160,7 @@ class CompiledProgram:
                 for index, term in enumerate(terms):
                     if isinstance(term, Constant):
                         value = term.value
-                        fixed[index] = encode(value) if encode else value
+                        fixed[index] = encode(value)
                     else:
                         check_slots.append((index, slot_of[term]))
                 check = _CheckStep(literal, tuple(fixed), tuple(check_slots))
@@ -210,7 +177,7 @@ class CompiledProgram:
             new_this_step = set()
             for index, term in enumerate(terms):
                 if isinstance(term, Constant):
-                    value = encode(term.value) if encode else term.value
+                    value = encode(term.value)
                     key_pairs.append((index, value, None))
                     const_checks.append((index, value))
                     continue
@@ -273,7 +240,7 @@ class CompiledProgram:
             if isinstance(term, Constant):
                 # Native dialect: the value feeds the head dedup key, which
                 # mixes with slot values, so it must match the slot encoding.
-                value_fixed[index] = encode(term.value) if encode else term.value
+                value_fixed[index] = encode(term.value)
                 term_fixed[index] = term
             else:
                 head_slots.append((index, slot_of[term]))
@@ -526,14 +493,11 @@ class CompiledProgram:
         return added
 
 
-#: One cache per storage layout: a program bakes the layout's constant
-#: encoding into its steps, so a layout switch must recompile, and
-#: switching back must find the original programs again.
-_program_caches = {"row": {}, "columnar": {}}
+_program_cache = {}
 
 
 def compile_program(rule, view=None):
-    """Compile *rule* to a :class:`CompiledProgram` (cached per rule and layout).
+    """Compile *rule* to a :class:`CompiledProgram` (cached per rule).
 
     The first compile may consult *view* statistics for the plan's
     tie-breaks; the cached program is reused for every later view, so the
@@ -541,13 +505,11 @@ def compile_program(rule, view=None):
     first compiled against (performance-only: any plan enumerates the same
     grounding set).
     """
-    mode = get_storage_backend()
-    cache = _program_caches[mode]
-    program = cache.get(rule)
+    program = _program_cache.get(rule)
     m = _obs.ACTIVE
     if program is None:
-        program = CompiledProgram(rule, view, mode)
-        cache[rule] = program
+        program = CompiledProgram(rule, view)
+        _program_cache[rule] = program
         if m is not None:
             m.inc("compiler.programs_compiled")
     elif m is not None:
@@ -556,7 +518,5 @@ def compile_program(rule, view=None):
 
 
 def clear_program_cache():
-    """Drop all cached compiled programs and interned constants."""
-    for cache in _program_caches.values():
-        cache.clear()
-    _const_intern.clear()
+    """Drop all cached compiled programs."""
+    _program_cache.clear()

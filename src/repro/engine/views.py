@@ -18,7 +18,7 @@ implementations serve them straight from hash indexes.
 The compiled matcher (:mod:`repro.engine.compiler`) additionally speaks a
 *row-level* dialect of the same protocol — ``*_candidates_key`` lookups
 taking a prebuilt ``(columns, key)`` pair instead of a dict, ``*_holds_row``
-ground checks taking a raw value tuple instead of an :class:`Atom`, and
+ground checks taking an intern-id row instead of an :class:`Atom`, and
 ``register_lookup`` for the composite-index handshake.  Every row-level
 method has a default implementation in terms of the atom-level one, so
 existing :class:`FactsView` subclasses keep working unmodified; the
@@ -28,22 +28,13 @@ built-in views override them to stay allocation-free on the hot path.
 from __future__ import annotations
 
 from ..lang.atoms import Atom
-from ..lang.terms import Constant
 from ..storage.catalog import INTERNER
-from ..storage.relation import get_storage_backend
 
 
 def _atom_from_row(predicate, row):
-    """Reconstruct a ground :class:`Atom` from a *storage-native* row.
-
-    Native rows are intern-id tuples under the columnar layout and raw
-    value tuples under the row layout; the compiled matcher always hands
-    this function whatever dialect the active layout speaks.
-    """
-    if get_storage_backend() == "columnar":
-        constant_of = INTERNER.constant_of
-        return Atom(predicate, tuple(constant_of(ident) for ident in row))
-    return Atom(predicate, tuple(Constant(value) for value in row))
+    """Reconstruct a ground :class:`Atom` from a native (intern-id) row."""
+    constant_of = INTERNER.constant_of
+    return Atom(predicate, tuple(constant_of(ident) for ident in row))
 
 
 class FactsView:
@@ -95,33 +86,29 @@ class FactsView:
         """Rows whose *columns* equal *key* — positional twin of
         :meth:`condition_candidates` (same superset allowance).
 
-        The row-level dialect is storage-native: under the columnar layout
-        the default bridge decodes the id key into raw values for the
-        atom-level method and re-encodes the returned rows, so subclasses
-        that only implement the atom-level protocol stay correct (if slow —
-        the built-in views override these with zero-copy paths).
+        The row-level dialect is storage-native: the default bridge decodes
+        the id key into raw values for the atom-level method and re-encodes
+        the returned rows, so subclasses that only implement the atom-level
+        protocol stay correct (if slow — the built-in views override these
+        with zero-copy paths).
         """
-        if get_storage_backend() == "columnar":
-            value_of = INTERNER.value_of
-            bound = {c: value_of(k) for c, k in zip(columns, key)}
-            encode = INTERNER.encode_row
-            return (
-                encode(row)
-                for row in self.condition_candidates(predicate, arity, bound)
-            )
-        return self.condition_candidates(predicate, arity, dict(zip(columns, key)))
+        value_of = INTERNER.value_of
+        bound = {c: value_of(k) for c, k in zip(columns, key)}
+        encode = INTERNER.encode_row
+        return (
+            encode(row)
+            for row in self.condition_candidates(predicate, arity, bound)
+        )
 
     def event_candidates_key(self, op, predicate, arity, columns, key):
         """Positional twin of :meth:`event_candidates` (same native bridge)."""
-        if get_storage_backend() == "columnar":
-            value_of = INTERNER.value_of
-            bound = {c: value_of(k) for c, k in zip(columns, key)}
-            encode = INTERNER.encode_row
-            return (
-                encode(row)
-                for row in self.event_candidates(op, predicate, arity, bound)
-            )
-        return self.event_candidates(op, predicate, arity, dict(zip(columns, key)))
+        value_of = INTERNER.value_of
+        bound = {c: value_of(k) for c, k in zip(columns, key)}
+        encode = INTERNER.encode_row
+        return (
+            encode(row)
+            for row in self.event_candidates(op, predicate, arity, bound)
+        )
 
     def condition_holds_row(self, predicate, arity, row):
         """Row-tuple twin of :meth:`condition_holds` for ground literals."""
@@ -228,22 +215,16 @@ class AtomSetView(FactsView):
             signature: frozenset(rows)
             for signature, rows in self._by_predicate.items()
         }
-        # The row-level dialect serves storage-native rows: id-encoded
-        # copies under the columnar layout, aliases of the raw structures
-        # under the row layout.
-        if get_storage_backend() == "columnar":
-            encode = INTERNER.encode_row
-            self._native_rows = {
-                signature: [encode(row) for row in rows]
-                for signature, rows in self._by_predicate.items()
-            }
-            self._native_sets = {
-                signature: frozenset(rows)
-                for signature, rows in self._native_rows.items()
-            }
-        else:
-            self._native_rows = self._by_predicate
-            self._native_sets = self._row_sets
+        # The row-level dialect serves id-encoded copies of the rows.
+        encode = INTERNER.encode_row
+        self._native_rows = {
+            signature: [encode(row) for row in rows]
+            for signature, rows in self._by_predicate.items()
+        }
+        self._native_sets = {
+            signature: frozenset(rows)
+            for signature, rows in self._native_rows.items()
+        }
         # Per-predicate-name totals, so estimate() is a dict hit instead of
         # an O(#signatures) scan per call (the planner may consult it once
         # per body literal per compile).

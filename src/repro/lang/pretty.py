@@ -19,7 +19,7 @@ from .updates import Update
 _KEYWORDS = frozenset({"not"})
 
 
-def _is_bare_identifier(text):
+def is_bare_identifier(text):
     """Whether *text* can be re-lexed as a lower-case identifier."""
     if not text or text in _KEYWORDS:
         return False
@@ -36,7 +36,7 @@ def render_term(term):
     if isinstance(term, Constant):
         if isinstance(term.value, int):
             return str(term.value)
-        if _is_bare_identifier(term.value):
+        if is_bare_identifier(term.value):
             return term.value
         # Control characters are escaped so every rendered fact stays on
         # one physical line — snapshots and journal records depend on it.

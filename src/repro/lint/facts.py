@@ -27,10 +27,8 @@ over-approximation of what the program can do at runtime —
   (:mod:`repro.lint.effects`), the same-stratum interference matrix, and
   the certified independent rule groups the commutativity pass colors
   out of the non-interference graph (:mod:`repro.lint.commutativity`);
-  the engine batches ``Γ`` collection per group
-  (``ParkEngine(facts_groups=...)``) and the runtime independence
-  sanitizer (:mod:`repro.testing.sanitize`) cross-checks the certificate
-  against the atoms rules actually touch.
+  the runtime independence sanitizer (:mod:`repro.testing.sanitize`)
+  cross-checks the certificate against the atoms rules actually touch.
 
 Soundness of the database-agnostic form: with no database in hand every
 positive condition is assumed satisfiable (any predicate may have EDB

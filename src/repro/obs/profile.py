@@ -94,7 +94,6 @@ def hotspot_report(metrics, result=None, wall_time=None, top=None, meta=None):
 
     storage = {
         "intern_table_size": metrics.gauges.get("storage.intern_table_size", 0),
-        "conversions": counters.get("storage.conversions", 0),
     }
 
     plan_cache = {
@@ -249,11 +248,10 @@ def render_profile(report):
     plan_cache = report.get("plan_cache")
     if storage is not None and plan_cache is not None:
         lines.append(
-            "storage: %d interned constants, %d layout conversions; "
+            "storage: %d interned constants; "
             "plan cache: %d hits, %d misses, %d invalidations"
             % (
                 storage["intern_table_size"],
-                storage["conversions"],
                 plan_cache["hits"],
                 plan_cache["misses"],
                 plan_cache["invalidations"],

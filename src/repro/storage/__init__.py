@@ -8,16 +8,16 @@ value-semantics copying, and a small update algebra (:class:`Delta`).
 from .catalog import Catalog, Schema
 from .database import Database
 from .delta import Delta, EMPTY_DELTA
-from .relation import Relation
+from .relation import ColumnarRelation
 from .snapshot import SavepointStack, Snapshot
 from .textio import dump_database, dump_program, load_database, load_program
 
 __all__ = [
     "Catalog",
+    "ColumnarRelation",
     "Database",
     "Delta",
     "EMPTY_DELTA",
-    "Relation",
     "SavepointStack",
     "Schema",
     "Snapshot",

@@ -18,7 +18,7 @@ from ..lang.atoms import Atom
 from ..lang.terms import Constant
 from ..obs import metrics as _obs
 from .catalog import Catalog
-from .relation import get_storage_backend, make_relation
+from .relation import ColumnarRelation
 
 
 class Database:
@@ -65,7 +65,7 @@ class Database:
             if not create:
                 return None
             self.catalog.ensure(atom.predicate, atom.arity)
-            relation = make_relation(atom.predicate, atom.arity)
+            relation = ColumnarRelation(atom.predicate, atom.arity)
             for arity, columns in self._lookup_registry.get(atom.predicate, ()):
                 if arity == atom.arity:
                     relation.register_index(columns)
@@ -125,7 +125,7 @@ class Database:
             yield from self.atoms(name)
 
     def relation(self, predicate):
-        """The :class:`Relation` for *predicate*, or ``None``."""
+        """The :class:`ColumnarRelation` for *predicate*, or ``None``."""
         return self._relations.get(predicate)
 
     def has_row(self, predicate, arity, row):
@@ -133,8 +133,7 @@ class Database:
 
         The tuple-level twin of ``atom in db``, used by the compiled matcher
         to test ground literals without constructing an :class:`Atom`.  The
-        row is in the storage dialect: raw values in the row layout, intern
-        ids in the columnar one.
+        row is a tuple of intern ids.
         """
         relation = self._relations.get(predicate)
         return (
@@ -147,7 +146,7 @@ class Database:
         """Declare a multi-column lookup signature for *predicate*.
 
         Forwarded to the relation's composite-index machinery
-        (:meth:`Relation.register_index`); remembered so relations created
+        (:meth:`ColumnarRelation.register_index`); remembered so relations created
         later — e.g. the ``+``/``-`` mark stores, whose relations appear
         when the first mark arrives — pick the signature up on creation.
         Idempotent and cheap; the index itself is built lazily on first
@@ -183,7 +182,7 @@ class Database:
         """An independent copy (catalog copied, rows copied).
 
         Indexes are dropped by default; ``with_indexes=True`` carries them
-        over (see :meth:`Relation.copy`), which the engine uses when copying
+        over (see :meth:`ColumnarRelation.copy`), which the engine uses when copying
         an interpretation every round and when restarting an epoch.
         """
         m = _obs.ACTIVE
@@ -225,33 +224,3 @@ class Database:
             len(self._relations),
         )
 
-
-def ensure_storage(database):
-    """*database* with every relation in the currently selected layout.
-
-    Returns the input unchanged when it already conforms (the common case);
-    otherwise builds a converted copy, carrying catalog, lookup registry,
-    and registered composite signatures.  The engine calls this on entry so
-    a run never mixes native dialects — prebuilt benchmark/workload
-    databases survive a ``set_storage_backend`` switch, and a row-layout
-    database handed to a columnar-mode engine is converted once, up front.
-    """
-    backend = get_storage_backend()
-    relations = database._relations
-    if all(relation.storage == backend for relation in relations.values()):
-        return database
-    m = _obs.ACTIVE
-    if m is not None:
-        m.inc("storage.conversions")
-    clone = Database(catalog=database.catalog.copy())
-    clone._lookup_registry = {
-        predicate: set(signatures)
-        for predicate, signatures in database._lookup_registry.items()
-    }
-    for name, relation in relations.items():
-        converted = make_relation(name, relation.arity)
-        converted._registered = set(relation._registered)
-        for row in relation.rows():
-            converted.add(row)
-        clone._relations[name] = converted
-    return clone

@@ -45,18 +45,14 @@ class Delta:
 
         When both sides are :class:`~repro.storage.database.Database`
         instances the comparison runs per-relation on native row sets (id
-        tuples under the columnar layout, raw tuples under the row one —
-        both layouts share one intern table, so the set algebra is exact),
-        and atom objects are only built for rows that actually differ — the
-        common case (a run touching a small fraction of a large database)
-        costs O(|difference|) atom constructions instead of O(|D|).
+        tuples from the one shared intern table, so the set algebra is
+        exact), and atom objects are only built for rows that actually
+        differ — the common case (a run touching a small fraction of a
+        large database) costs O(|difference|) atom constructions instead
+        of O(|D|).
         """
         from ..lang.atoms import Atom
-        from ..lang.terms import Constant
         from .database import Database
-
-        def _raw_constants(row):
-            return tuple(map(Constant, row))
 
         if isinstance(before, Database) and isinstance(after, Database):
             updates = []
@@ -64,38 +60,19 @@ class Delta:
             for predicate in sorted(predicates):
                 before_rel = before.relation(predicate)
                 after_rel = after.relation(predicate)
-                if (
-                    before_rel is not None
-                    and after_rel is not None
-                    and before_rel.storage != after_rel.storage
-                ):
-                    # Mixed layouts: native rows are not comparable, so
-                    # fall back to decoded raw rows for this relation.
-                    decode_b = before_rel.decode_row
-                    decode_a = after_rel.decode_row
-                    before_rows = {decode_b(r) for r in before_rel.row_set()}
-                    after_rows = {decode_a(r) for r in after_rel.row_set()}
-                    constants_b = constants_a = _raw_constants
-                else:
-                    before_rows = (
-                        before_rel.row_set() if before_rel is not None else frozenset()
-                    )
-                    after_rows = (
-                        after_rel.row_set() if after_rel is not None else frozenset()
-                    )
-                    constants_b = (
-                        before_rel.row_constants if before_rel is not None else None
-                    )
-                    constants_a = (
-                        after_rel.row_constants if after_rel is not None else None
-                    )
+                before_rows = (
+                    before_rel.row_set() if before_rel is not None else frozenset()
+                )
+                after_rows = (
+                    after_rel.row_set() if after_rel is not None else frozenset()
+                )
                 if before_rows == after_rows:
                     continue
                 for row in after_rows - before_rows:
-                    atom = Atom(predicate, constants_a(row))
+                    atom = Atom(predicate, after_rel.row_constants(row))
                     updates.append(Update(UpdateOp.INSERT, atom))
                 for row in before_rows - after_rows:
-                    atom = Atom(predicate, constants_b(row))
+                    atom = Atom(predicate, before_rel.row_constants(row))
                     updates.append(Update(UpdateOp.DELETE, atom))
             return cls(updates)
 

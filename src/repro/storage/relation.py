@@ -1,387 +1,38 @@
-"""A single relation, in one of two storage layouts.
+"""A single relation in the columnar interned layout.
 
 Every relation speaks two dialects:
 
 * the **raw dialect** — the atom-level public API (:meth:`add`,
   :meth:`discard`, :meth:`rows`, :meth:`candidates`, ``in``) exchanges
-  tuples of raw constant values (``("alice", 4200)``) in both layouts;
+  tuples of raw constant values (``("alice", 4200)``);
 * the **native dialect** — the row-level API the compiled matcher uses
   (:meth:`candidates_key`, :meth:`has_native`, :meth:`row_set`) exchanges
-  *storage-native* rows: raw tuples in the row layout, tuples of intern-table
-  ids in the columnar layout.
+  tuples of intern-table ids.
 
-:class:`Relation` is the original row-oriented layout and stays the oracle:
-a hash set of raw value tuples with lazily-built single-column and composite
-hash indexes.  :class:`ColumnarRelation` is the fast layout: rows are tuples
-of integer ids from the shared :class:`~repro.storage.catalog.InternTable`,
-stored both as per-column ``array('q')`` id arrays (dense, swap-delete) and
-as a position dict for O(1) membership, with the same index machinery keyed
-by ids.  Matching then compares and hashes machine integers instead of
-boxed ``Constant`` objects, which is where the compiled matcher's ≥3x comes
-from.
+Rows are tuples of integer ids from the shared
+:class:`~repro.storage.catalog.InternTable`, stored both as per-column
+``array('q')`` id arrays (dense, swap-delete) and as a position dict for
+O(1) membership.  Matching then compares and hashes machine integers
+instead of boxed ``Constant`` objects, which is where the compiled
+matcher's ≥3x comes from.
 
-The active layout is process-global: ``REPRO_STORAGE`` (or the CLI's
-``--storage``) selects ``columnar`` (default) or ``row``;
-:func:`make_relation` is the factory the database uses.
-
-Both layouts maintain one hash index per column, built the first time a
+A relation maintains one hash index per column, built the first time a
 lookup binds that column, plus **composite indexes** keyed by a tuple of
 columns.  The compiled matcher registers the bound-column signatures its
-plans will probe (:meth:`Relation.register_index` — the "lookup-signature
-handshake"); each index is materialized lazily on the first probe and
-maintained incrementally by :meth:`add` / :meth:`discard` from then on, so
-a multi-column probe is a single hash lookup instead of a best-bucket
-scan-and-filter.
+plans will probe (:meth:`ColumnarRelation.register_index` — the
+"lookup-signature handshake"); each index is materialized lazily on the
+first probe and maintained incrementally by :meth:`add` / :meth:`discard`
+from then on, so a multi-column probe is a single hash lookup instead of a
+best-bucket scan-and-filter.
 """
 
 from __future__ import annotations
 
-import os
-import zlib
 from array import array
 
 from ..errors import SchemaError
-from ..lang.terms import Constant
 from ..obs import metrics as _obs
 from .catalog import INTERNER
-
-# -- row sharding ------------------------------------------------------------------
-#
-# The parallel executor partitions a relation's rows across workers by a
-# *stable* hash: builtin hash() is per-process randomized for strings, and
-# enumeration position depends on set iteration order, so neither survives
-# the trip to a spawned worker.  The mix below folds each element with the
-# tuple-hash multiplier over a fixed seed; integers (including the columnar
-# layout's intern ids, which workers assign in identical deterministic
-# order) contribute their value directly and any other constant contributes
-# a CRC of its repr.  Two processes that agree on the row therefore agree
-# on the shard.
-
-_SHARD_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def _stable_element_hash(value):
-    if type(value) is int:
-        return value & _SHARD_MASK
-    return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
-
-
-def stable_row_shard(row, nshards):
-    """The shard index in ``[0, nshards)`` owning *row* — process-stable.
-
-    Works on either dialect (raw value tuples or native id tuples); the
-    caller must use one dialect consistently for a given partitioning.
-    Zero-arity rows all land in one fixed shard.
-    """
-    h = 0x345678
-    for value in row:
-        h = ((h * 1000003) ^ _stable_element_hash(value)) & _SHARD_MASK
-    return h % nshards
-
-
-class Relation:
-    """A named relation holding ground tuples of a fixed arity."""
-
-    __slots__ = ("name", "arity", "_tuples", "_indexes", "_registered", "_composite")
-
-    #: Storage layout tag; native rows equal raw rows in this layout.
-    storage = "row"
-
-    def __init__(self, name, arity, tuples=()):
-        if arity < 0:
-            raise SchemaError("relation %r: arity must be >= 0" % name)
-        self.name = name
-        self.arity = arity
-        self._tuples = set()
-        self._indexes = {}  # column -> {value -> set of tuples}
-        self._registered = set()  # column tuples with a composite index
-        self._composite = {}  # column tuple -> {value tuple -> set of tuples}
-        for row in tuples:
-            self.add(row)
-
-    # -- mutation --------------------------------------------------------------
-
-    def _check(self, row):
-        if not isinstance(row, tuple):
-            raise SchemaError(
-                "relation %r: row must be a tuple, got %r" % (self.name, row)
-            )
-        if len(row) != self.arity:
-            raise SchemaError(
-                "relation %r has arity %d, got row of length %d: %r"
-                % (self.name, self.arity, len(row), row)
-            )
-
-    def add(self, row):
-        """Insert *row*; returns True if it was new."""
-        self._check(row)
-        if row in self._tuples:
-            return False
-        self._tuples.add(row)
-        for column, index in self._indexes.items():
-            index.setdefault(row[column], set()).add(row)
-        for columns, index in self._composite.items():
-            key = tuple(row[c] for c in columns)
-            index.setdefault(key, set()).add(row)
-        return True
-
-    def discard(self, row):
-        """Delete *row*; returns True if it was present."""
-        self._check(row)
-        if row not in self._tuples:
-            return False
-        self._tuples.discard(row)
-        for column, index in self._indexes.items():
-            bucket = index.get(row[column])
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[row[column]]
-        for columns, index in self._composite.items():
-            key = tuple(row[c] for c in columns)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
-        return True
-
-    def clear(self):
-        """Remove all rows (indexes are dropped, not rebuilt).
-
-        Registered composite signatures survive: they describe which probes
-        the compiled plans make, not the data, so the indexes simply
-        rematerialize on the next probe.
-        """
-        self._tuples.clear()
-        self._indexes.clear()
-        self._composite.clear()
-
-    # -- access ------------------------------------------------------------------
-
-    def __contains__(self, row):
-        return row in self._tuples
-
-    def __len__(self):
-        return len(self._tuples)
-
-    def __iter__(self):
-        return iter(self._tuples)
-
-    def rows(self):
-        """A snapshot list of all rows (safe to mutate the relation while using)."""
-        return list(self._tuples)
-
-    def row_set(self):
-        """The live set of *native* rows — read-only, must not be mutated.
-
-        Native rows are raw rows in this layout; id tuples in the columnar
-        one.  Use :meth:`decode_row` / :meth:`row_constants` to interpret
-        them uniformly.
-        """
-        return self._tuples
-
-    def has_native(self, row):
-        """Membership test in the native dialect (raw rows here)."""
-        return row in self._tuples
-
-    def decode_row(self, row):
-        """A native row as its raw value tuple (identity in this layout)."""
-        return row
-
-    def row_constants(self, row):
-        """A native row as a tuple of :class:`Constant` terms."""
-        return tuple(map(Constant, row))
-
-    def _index_on(self, column):
-        index = self._indexes.get(column)
-        if index is None:
-            index = {}
-            for row in self._tuples:
-                index.setdefault(row[column], set()).add(row)
-            self._indexes[column] = index
-            m = _obs.ACTIVE
-            if m is not None:
-                m.inc("storage.index_builds")
-        return index
-
-    # -- composite indexes ---------------------------------------------------------
-
-    def register_index(self, columns):
-        """Declare that lookups will bind exactly *columns* (sorted tuple).
-
-        Trivial signatures are ignored: a single column uses the per-column
-        index and a fully-bound probe is a plain membership test.  The
-        composite index itself is built lazily on the first probe and then
-        maintained incrementally, so registering is free until the signature
-        is actually used.
-        """
-        columns = tuple(columns)
-        if len(columns) < 2 or len(columns) >= self.arity:
-            return
-        self._registered.add(columns)
-
-    def _composite_on(self, columns):
-        index = self._composite.get(columns)
-        if index is None:
-            index = {}
-            for row in self._tuples:
-                index.setdefault(tuple(row[c] for c in columns), set()).add(row)
-            self._composite[columns] = index
-            m = _obs.ACTIVE
-            if m is not None:
-                m.inc("storage.composite_builds")
-        return index
-
-    def candidates_key(self, columns, key):
-        """Rows whose *columns* (a sorted tuple of column indexes) equal *key*.
-
-        The positional twin of :meth:`candidates`, used by the compiled
-        matcher: the caller passes the prebuilt column tuple from the plan
-        step plus the current key values, avoiding a per-probe dict.  An
-        empty *columns* is a full scan; all columns bound is a membership
-        test (*key* then *is* the row); one column uses the per-column
-        index; anything else hits (and lazily builds) a composite index.
-        Returns an iterable of rows; must not be retained across mutations.
-        """
-        count = len(columns)
-        m = _obs.ACTIVE
-        if not count:
-            if m is not None:
-                m.inc("storage.full_scans")
-            return self._tuples
-        if count == self.arity:
-            # columns is sorted and distinct, so it is (0, ..., arity-1)
-            # and key is the row itself.
-            present = key in self._tuples
-            if m is not None:
-                m.inc("storage.index_lookups")
-                if present:
-                    m.inc("storage.index_hits")
-            return (key,) if present else ()
-        if count == 1:
-            bucket = self._index_on(columns[0]).get(key[0])
-        else:
-            self._registered.add(columns)
-            bucket = self._composite_on(columns).get(key)
-        if m is not None:
-            m.inc("storage.index_lookups")
-            if bucket:
-                m.inc("storage.index_hits")
-        return bucket if bucket is not None else ()
-
-    def candidates(self, bound):
-        """Rows consistent with *bound*, a ``{column: value}`` mapping.
-
-        With every column bound this is a single O(1) membership test.  A
-        multi-column probe whose signature has a registered composite index
-        is a single hash lookup; otherwise it uses the index on the most
-        selective bound column and filters the rest.  With no bound columns
-        this is a full scan.  Returns an iterable of rows; the result must
-        not be retained across mutations.
-        """
-        m = _obs.ACTIVE
-        if not bound:
-            if m is not None:
-                m.inc("storage.full_scans")
-            return self._tuples
-        if m is not None:
-            m.inc("storage.index_lookups")
-        if len(bound) == self.arity:
-            # Fully bound: the only possible answer is the row itself.
-            row = tuple(bound[column] for column in range(self.arity))
-            present = row in self._tuples
-            if present and m is not None:
-                m.inc("storage.index_hits")
-            return (row,) if present else ()
-        if len(bound) > 1:
-            columns = tuple(sorted(bound))
-            if columns in self._registered:
-                key = tuple(bound[c] for c in columns)
-                bucket = self._composite_on(columns).get(key)
-                if bucket and m is not None:
-                    m.inc("storage.index_hits")
-                return bucket if bucket is not None else ()
-        best_column = None
-        best_bucket = None
-        for column, value in bound.items():
-            bucket = self._index_on(column).get(value, ())
-            if best_bucket is None or len(bucket) < len(best_bucket):
-                best_column, best_bucket = column, bucket
-            if not bucket:
-                return ()
-        if m is not None and best_bucket:
-            m.inc("storage.index_hits")
-        if len(bound) == 1:
-            return best_bucket
-        rest = [(c, v) for c, v in bound.items() if c != best_column]
-        return (
-            row for row in best_bucket if all(row[c] == v for c, v in rest)
-        )
-
-    def copy(self, with_indexes=False):
-        """An independent copy sharing no mutable state.
-
-        With ``with_indexes=True`` the hash indexes (single-column and
-        composite) are carried over as per-bucket set copies — cheaper than
-        rebuilding them from scratch on the first lookup, which matters on
-        hot paths that copy a relation every evaluation round (``Γ``'s
-        apply and epoch restarts).  Registered composite signatures are
-        always carried: they are schema-level metadata, not data.
-        """
-        clone = Relation(self.name, self.arity)
-        clone._tuples = set(self._tuples)
-        clone._registered = set(self._registered)
-        m = _obs.ACTIVE
-        if m is not None:
-            m.inc("storage.snapshot_copies")
-        if with_indexes:
-            if self._indexes:
-                clone._indexes = {
-                    column: {value: set(rows) for value, rows in index.items()}
-                    for column, index in self._indexes.items()
-                }
-            if self._composite:
-                clone._composite = {
-                    columns: {key: set(rows) for key, rows in index.items()}
-                    for columns, index in self._composite.items()
-                }
-        return clone
-
-    def partition(self, nshards):
-        """Split into *nshards* disjoint relations by :func:`stable_row_shard`.
-
-        Each shard is an independent :class:`Relation` carrying the
-        registered composite signatures, so single-column and composite
-        index buckets are built (lazily, as always) *per shard*.  The
-        shards cover this relation exactly: every row lands in precisely
-        one shard, determined by the stable content hash.
-        """
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        shards = [Relation(self.name, self.arity) for _ in range(nshards)]
-        for shard in shards:
-            shard._registered = set(self._registered)
-        for row in self._tuples:
-            shards[stable_row_shard(row, nshards)]._tuples.add(row)
-        return shards
-
-    def __eq__(self, other):
-        if isinstance(other, Relation):
-            return (
-                self.name == other.name
-                and self.arity == other.arity
-                and self._tuples == other._tuples
-            )
-        if isinstance(other, ColumnarRelation):
-            return other.__eq__(self)
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("Relation is mutable and unhashable")
-
-    def __repr__(self):
-        return "Relation(%r, arity=%d, rows=%d)" % (self.name, self.arity, len(self))
 
 
 class ColumnarRelation:
@@ -412,8 +63,6 @@ class ColumnarRelation:
         "_registered",
         "_composite",
     )
-
-    storage = "columnar"
 
     def __init__(self, name, arity, tuples=(), interner=None):
         if arity < 0:
@@ -567,7 +216,14 @@ class ColumnarRelation:
     # -- composite indexes ---------------------------------------------------------
 
     def register_index(self, columns):
-        """Declare a composite probe signature (see :meth:`Relation.register_index`)."""
+        """Declare that lookups will bind exactly *columns* (sorted tuple).
+
+        Trivial signatures are ignored: a single column uses the per-column
+        index and a fully-bound probe is a plain membership test.  The
+        composite index itself is built lazily on the first probe and then
+        maintained incrementally, so registering is free until the signature
+        is actually used.
+        """
         columns = tuple(columns)
         if len(columns) < 2 or len(columns) >= self.arity:
             return
@@ -586,12 +242,15 @@ class ColumnarRelation:
         return index
 
     def candidates_key(self, columns, key):
-        """Native rows whose *columns* equal *key* — both sides id-encoded.
+        """Native rows whose *columns* (a sorted tuple) equal *key*.
 
-        Same contract as :meth:`Relation.candidates_key`, but the key is a
-        tuple of intern ids and the returned rows are id tuples.  The
-        compiled matcher encodes plan constants at compile time, so on the
-        hot path this is integer hashing end to end.
+        Both sides are id-encoded: the compiled matcher encodes plan
+        constants at compile time, so on the hot path this is integer
+        hashing end to end.  An empty *columns* is a full scan; all columns
+        bound is a membership test (*key* then *is* the row); one column
+        uses the per-column index; anything else hits (and lazily builds) a
+        composite index.  Returns an iterable of rows; must not be retained
+        across mutations.
         """
         count = len(columns)
         m = _obs.ACTIVE
@@ -678,7 +337,15 @@ class ColumnarRelation:
         )
 
     def copy(self, with_indexes=False):
-        """An independent copy sharing only the (append-only) intern table."""
+        """An independent copy sharing only the (append-only) intern table.
+
+        With ``with_indexes=True`` the hash indexes (single-column and
+        composite) are carried over as per-bucket set copies — cheaper than
+        rebuilding them on the first lookup, which matters on hot paths that
+        copy a relation every evaluation round (``Γ``'s apply and epoch
+        restarts).  Registered composite signatures are always carried:
+        they are schema-level metadata, not data.
+        """
         clone = ColumnarRelation(self.name, self.arity, interner=self._interner)
         clone._rows = dict(self._rows)
         clone._order = list(self._order)
@@ -700,28 +367,6 @@ class ColumnarRelation:
                 }
         return clone
 
-    def partition(self, nshards):
-        """Split into *nshards* disjoint columnar relations by native-row hash.
-
-        The id-tuple twin of :meth:`Relation.partition`: rows are sharded
-        by :func:`stable_row_shard` over their intern ids (consistent
-        across processes whose intern tables were seeded identically — see
-        ``InternTable.load_prefix``), every shard shares this relation's
-        intern table and registered composite signatures, and index buckets
-        stay per-shard.
-        """
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        shards = [
-            ColumnarRelation(self.name, self.arity, interner=self._interner)
-            for _ in range(nshards)
-        ]
-        for shard in shards:
-            shard._registered = set(self._registered)
-        for row in self._order:
-            shards[stable_row_shard(row, nshards)]._add_native(row)
-        return shards
-
     def __eq__(self, other):
         if isinstance(other, ColumnarRelation):
             if self.name != other.name or self.arity != other.arity:
@@ -729,12 +374,6 @@ class ColumnarRelation:
             if other._interner is self._interner:
                 return self._rows.keys() == other._rows.keys()
             return set(iter(self)) == set(iter(other))
-        if isinstance(other, Relation):
-            return (
-                self.name == other.name
-                and self.arity == other.arity
-                and set(iter(self)) == other._tuples
-            )
         return NotImplemented
 
     def __hash__(self):
@@ -746,42 +385,3 @@ class ColumnarRelation:
             self.arity,
             len(self),
         )
-
-
-# -- storage backend switch ------------------------------------------------------
-
-_VALID_STORAGE = ("columnar", "row")
-_storage = "columnar"
-
-
-def set_storage_backend(name):
-    """Select the storage layout for *newly created* relations.
-
-    ``columnar`` (default) or ``row``.  Existing Database objects keep the
-    layout they were built with; the engine converts inputs on entry (see
-    ``ensure_storage``), so switching mid-process is safe as long as a
-    single engine run sees one layout throughout — which ensure_storage
-    guarantees.
-    """
-    if name not in _VALID_STORAGE:
-        raise ValueError(
-            "unknown storage backend %r; expected one of %s"
-            % (name, ", ".join(_VALID_STORAGE))
-        )
-    global _storage
-    _storage = name
-
-
-def get_storage_backend():
-    """The currently selected storage layout name."""
-    return _storage
-
-
-def make_relation(name, arity, tuples=(), interner=None):
-    """A new relation in the currently selected storage layout."""
-    if _storage == "columnar":
-        return ColumnarRelation(name, arity, tuples, interner=interner)
-    return Relation(name, arity, tuples)
-
-
-set_storage_backend(os.environ.get("REPRO_STORAGE") or "columnar")

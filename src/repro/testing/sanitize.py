@@ -1,9 +1,8 @@
 """Runtime independence sanitizer: TSan wiring over the static race report.
 
 The commutativity analysis (:mod:`repro.lint.commutativity`) certifies
-rule groups whose effect sets are statically disjoint (``PARK043``); the
-engine's group-batched scheduling and any future parallel executor lean
-on that certificate.  This module keeps the analyzer honest: with the
+rule groups whose effect sets are statically disjoint (``PARK043``): a
+claim that their firings commute.  This module keeps the analyzer honest: with the
 sanitizer active, every consistent ``Γ`` round is replayed against the
 certificate — the atoms each rule *actually* wrote (from the round's
 firings) and *actually* read (from each grounding's ground body) — and

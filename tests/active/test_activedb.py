@@ -3,7 +3,7 @@
 import pytest
 
 from repro.active import ActiveDatabase
-from repro.errors import LanguageError, TransactionError
+from repro.errors import LanguageError, SchemaError, TransactionError
 from repro.lang import parse_atom
 from repro.lang.atoms import atom
 from repro.policies.priority import PriorityPolicy
@@ -37,6 +37,15 @@ class TestDataAccess:
         assert db.select("payroll", "joe", None) == [("joe", 10)]
         assert db.select("payroll", None, 20) == [("ann", 20)]
         assert db.select("payroll") == db.rows("payroll")
+
+    def test_select_rejects_column_past_arity(self):
+        db = payroll_db()
+        with pytest.raises(SchemaError):
+            db.select("payroll", None, None, "joe")
+        with pytest.raises(SchemaError):
+            db.select("emp", "joe", 10)
+        # Trailing wildcards bind nothing and stay accepted.
+        assert db.select("emp", "joe", None) == [("joe",)]
 
     def test_len(self):
         assert len(payroll_db()) == 6

@@ -4,7 +4,7 @@ import pytest
 
 from repro.active import ActiveDatabase
 from repro.active.journal import Journal
-from repro.errors import StorageError
+from repro.errors import StorageError, TransactionError
 from repro.lang.atoms import atom
 from repro.lang.updates import delete, insert
 from repro.storage.database import Database
@@ -263,6 +263,24 @@ class TestActiveDatabaseIntegration:
             str(tmp_path / "commits.journal"),
             rules=["p0 -> +q0."],  # different rules entirely
         )
+        assert recovered.database == db.database
+
+    def test_rejected_updates_keep_history_recoverable(self, tmp_path):
+        # Malformed staged updates fail before commit, so the journal and
+        # a fresh checkpoint both still parse back into the same state.
+        snapshot = tmp_path / "base.park"
+        journal_path = str(tmp_path / "commits.journal")
+        db = make_db(tmp_path)
+        db.checkpoint(str(snapshot))
+        for args in (("bad name", 1), ("event(k0)",), ("payroll", "joe")):
+            with pytest.raises(TransactionError):
+                db.insert(*args)
+        db.delete("active", "joe")
+        db.insert("emp", "ann")
+        recovered = ActiveDatabase.recover(str(snapshot), journal_path)
+        assert recovered.database == db.database
+        db.checkpoint(str(snapshot))
+        recovered = ActiveDatabase.recover(str(snapshot), journal_path)
         assert recovered.database == db.database
 
     def test_no_journal_by_default(self, tmp_path):

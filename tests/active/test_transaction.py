@@ -33,6 +33,30 @@ class TestStaging:
         with pytest.raises(TransactionError, match="ground"):
             tx.insert(atom("q", "X"))
 
+    @pytest.mark.parametrize(
+        "predicate", ["bad name", "event(k0)", "Emp", "_x", "not", "9p", "p.q", ""]
+    )
+    def test_predicate_must_lex_as_one_identifier(self, predicate):
+        # The journal stores staged updates as text; a predicate that does
+        # not read back as a single identifier would make recovery fail.
+        tx = fresh().transaction()
+        with pytest.raises(TransactionError, match="identifier"):
+            tx.insert(predicate, 1)
+        if predicate:  # Atom itself refuses an empty predicate
+            with pytest.raises(TransactionError, match="identifier"):
+                tx.delete(atom(predicate, "a"))
+        assert tx.updates() == ()
+
+    def test_arity_must_match_catalog(self):
+        db = ActiveDatabase.from_text("p(a).")
+        tx = db.transaction()
+        with pytest.raises(TransactionError, match="arity"):
+            tx.insert("p", "a", "b")
+        with pytest.raises(TransactionError, match="arity"):
+            tx.delete(atom("p"))
+        tx.insert("p", "b").insert("q", "a", "b")  # matching / new predicates
+        assert len(tx.updates()) == 2
+
     def test_duplicates_deduplicated(self):
         tx = fresh().transaction()
         tx.insert("q", "a").insert("q", "a")

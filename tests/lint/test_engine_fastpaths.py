@@ -1,10 +1,10 @@
 """Engine fast paths from ProgramFacts are fingerprint-preserving.
 
-For every gated path (conflict-scan skip, auto-seminaive routing,
-dead-rule pruning, group-batched collection) the semantic fingerprint —
+With ``facts=True`` the engine may skip the conflict scan, route onto
+the semi-naive strategy and prune dead rules; the semantic fingerprint —
 final atoms, blocked set, rounds, restarts, and total firings — must be
-bit-identical to the ungated run, across all three evaluation strategies
-and both matcher backends.
+bit-identical to the ``facts=None`` oracle run, across all three
+evaluation strategies and both matcher backends.
 """
 
 import pytest
@@ -25,7 +25,6 @@ from repro.storage.database import Database
 
 STRATEGIES = ("naive", "seminaive", "incremental")
 BACKENDS = ("compiled", "interpreted")
-GATES = ("facts_conflict_skip", "facts_seminaive", "facts_prune", "facts_groups")
 
 CONFLICT_FREE = parse_program(
     """
@@ -62,6 +61,18 @@ def run(program, db_text, facts=None, updates=None, **options):
     return engine.run(program, database, updates=updates)
 
 
+@pytest.fixture
+def backend(request):
+    previous = get_matcher_backend()
+    set_matcher_backend(request.param)
+    clear_compile_cache()
+    try:
+        yield request.param
+    finally:
+        set_matcher_backend(previous)
+        clear_compile_cache()
+
+
 class TestFingerprintIdentity:
     @pytest.mark.parametrize("evaluation", STRATEGIES)
     def test_conflict_free_program(self, evaluation):
@@ -78,20 +89,17 @@ class TestFingerprintIdentity:
         assert fingerprint(base) == fingerprint(fast)
         assert fast.blocked  # the conflict really happened
 
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("evaluation", STRATEGIES)
-    def test_each_gate_individually(self, evaluation):
-        base = run(CONFLICT_FREE, CONFLICT_FREE_DB, evaluation=evaluation)
-        for gate in GATES:
-            options = {name: False for name in GATES}
-            options[gate] = True
-            fast = run(
-                CONFLICT_FREE,
-                CONFLICT_FREE_DB,
-                facts=True,
-                evaluation=evaluation,
-                **options
-            )
-            assert fingerprint(base) == fingerprint(fast), gate
+    @pytest.mark.parametrize(
+        "program, db_text",
+        [(CONFLICT_FREE, CONFLICT_FREE_DB), (CONFLICTING, "")],
+        ids=("conflict-free", "conflicting"),
+    )
+    def test_facts_on_vs_off(self, evaluation, backend, program, db_text):
+        base = run(program, db_text, evaluation=evaluation)
+        fast = run(program, db_text, facts=True, evaluation=evaluation)
+        assert fingerprint(base) == fingerprint(fast)
 
     @pytest.mark.parametrize("evaluation", STRATEGIES)
     def test_with_transaction_updates(self, evaluation):
@@ -161,50 +169,3 @@ class TestPathEngagement:
     def test_facts_off_by_default(self):
         engine = ParkEngine()
         assert engine.facts is None
-
-
-@pytest.fixture
-def backend(request):
-    previous = get_matcher_backend()
-    set_matcher_backend(request.param)
-    clear_compile_cache()
-    try:
-        yield request.param
-    finally:
-        set_matcher_backend(previous)
-        clear_compile_cache()
-
-
-class TestGroupBatching:
-    """The certified-group collection order is semantics-neutral."""
-
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    @pytest.mark.parametrize("evaluation", STRATEGIES)
-    @pytest.mark.parametrize(
-        "program, db_text",
-        [(CONFLICT_FREE, CONFLICT_FREE_DB), (CONFLICTING, "")],
-        ids=("conflict-free", "conflicting"),
-    )
-    def test_groups_on_vs_off(self, evaluation, backend, program, db_text):
-        base = run(program, db_text, evaluation=evaluation)
-        ungrouped = run(
-            program, db_text, facts=True, facts_groups=False,
-            evaluation=evaluation,
-        )
-        grouped = run(program, db_text, facts=True, evaluation=evaluation)
-        assert fingerprint(base) == fingerprint(ungrouped)
-        assert fingerprint(base) == fingerprint(grouped)
-
-    def test_metrics_report_group_engagement(self):
-        metrics = Metrics()
-        run(CONFLICTING, "", facts=True, metrics=metrics)
-        # quickstart-shaped program: two certified groups of two rules.
-        assert metrics.gauges["engine.facts_parallel_groups"] == 2
-        assert metrics.counters["planner.group_schedules"] == 1
-        assert metrics.counters["eval.group_batches"] > 0
-
-    def test_gate_off_skips_schedule(self):
-        metrics = Metrics()
-        run(CONFLICTING, "", facts=True, facts_groups=False, metrics=metrics)
-        assert "planner.group_schedules" not in metrics.counters
-        assert "eval.group_batches" not in metrics.counters

@@ -1,8 +1,7 @@
 """Thread-safety hammers for the intern table and the plan cache.
 
-The parallel executor made two shared structures reachable from more
-than one thread of control: the process-global
-:class:`~repro.storage.catalog.InternTable` (its fast path is a
+Two process-wide structures are reachable from more than one thread:
+the global :class:`~repro.storage.catalog.InternTable` (its fast path is a
 lock-free dict read, so the allocation path must publish ids last) and
 :class:`~repro.engine.plancache.PlanCache` (an LRU whose bookkeeping
 must not tear under concurrent ``facts_for`` calls).  These tests
@@ -66,24 +65,30 @@ class TestInternTableConcurrency:
         idents = {table.intern(value) for value in values}
         assert idents == set(range(len(values)))
 
-    def test_snapshot_under_concurrent_growth_is_a_prefix(self):
-        # snapshot_values() may race with allocation, but whatever it
-        # returns must be a consistent prefix: result[i] decodes id i.
+    def test_ids_observed_during_growth_round_trip(self):
+        # A reader on the lock-free path (id_of) races three writers that
+        # keep allocating; any id the reader can observe must already
+        # decode back to its value through value_of.
         table = InternTable()
-        snapshots = []
+        values = ["t%d-%d" % (index, n) for index in (1, 2, 3) for n in range(300)]
+        observed = []
 
         def work(index):
             if index == 0:
-                for _ in range(50):
-                    snapshots.append(table.snapshot_values())
+                for _ in range(20):
+                    for value in values:
+                        ident = table.id_of(value)
+                        if ident is not None:
+                            observed.append((ident, value, table.value_of(ident)))
             else:
                 for n in range(300):
                     table.intern("t%d-%d" % (index, n))
 
         _hammer(4, work)
-        for snapshot in snapshots:
-            for ident, value in enumerate(snapshot):
-                assert table.value_of(ident) == value
+        for ident, value, decoded in observed:
+            assert decoded == value
+            assert table.value_of(ident) == value
+        assert len(table) == len(values)
 
 
 class TestPlanCacheConcurrency:

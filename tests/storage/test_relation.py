@@ -1,37 +1,42 @@
-"""Tests for Relation: tuple storage and hash indexes."""
+"""Tests for ColumnarRelation: interned tuple storage and hash indexes."""
 
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.relation import (
-    ColumnarRelation,
-    Relation,
-    get_storage_backend,
-    make_relation,
-    set_storage_backend,
-)
+from repro.storage.catalog import INTERNER, InternTable
+from repro.storage.relation import ColumnarRelation
+
+
+def native(*values):
+    """A raw row (or probe key) in the native id dialect."""
+    return tuple(INTERNER.intern(value) for value in values)
+
+
+def decoded(rows):
+    """Native rows back to a set of raw rows."""
+    return {INTERNER.decode_row(row) for row in rows}
 
 
 class TestMutation:
     def test_add_and_contains(self):
-        r = Relation("edge", 2)
+        r = ColumnarRelation("edge", 2)
         assert r.add(("a", "b"))
         assert ("a", "b") in r
         assert len(r) == 1
 
     def test_add_duplicate_returns_false(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         assert not r.add(("a", "b"))
         assert len(r) == 1
 
     def test_discard(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         assert r.discard(("a", "b"))
         assert not r.discard(("a", "b"))
         assert len(r) == 0
 
     def test_arity_enforced(self):
-        r = Relation("edge", 2)
+        r = ColumnarRelation("edge", 2)
         with pytest.raises(SchemaError):
             r.add(("a",))
         with pytest.raises(SchemaError):
@@ -39,26 +44,26 @@ class TestMutation:
 
     def test_rows_must_be_tuples(self):
         with pytest.raises(SchemaError):
-            Relation("edge", 2).add(["a", "b"])
+            ColumnarRelation("edge", 2).add(["a", "b"])
 
     def test_zero_arity(self):
-        r = Relation("flag", 0)
+        r = ColumnarRelation("flag", 0)
         assert r.add(())
         assert () in r
 
     def test_negative_arity_rejected(self):
         with pytest.raises(SchemaError):
-            Relation("bad", -1)
+            ColumnarRelation("bad", -1)
 
     def test_clear(self):
-        r = Relation("edge", 2, [("a", "b"), ("b", "c")])
+        r = ColumnarRelation("edge", 2, [("a", "b"), ("b", "c")])
         r.clear()
         assert len(r) == 0
 
 
 class TestCandidates:
     def setup_method(self):
-        self.r = Relation(
+        self.r = ColumnarRelation(
             "edge", 2, [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
         )
 
@@ -99,32 +104,32 @@ class TestCandidates:
         assert not self.r._indexes
 
     def test_fully_bound_zero_arity(self):
-        flag = Relation("flag", 0, [()])
+        flag = ColumnarRelation("flag", 0, [()])
         assert tuple(flag.candidates({})) == ((),)
 
 
 class TestValueSemantics:
     def test_copy_independent(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         clone = r.copy()
         clone.add(("x", "y"))
         assert len(r) == 1
         assert len(clone) == 2
 
     def test_copy_drops_indexes_by_default(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         list(r.candidates({0: "a"}))
         assert not r.copy()._indexes
 
     def test_copy_with_indexes_carries_them_over(self):
-        r = Relation("edge", 2, [("a", "b"), ("a", "c")])
+        r = ColumnarRelation("edge", 2, [("a", "b"), ("a", "c")])
         list(r.candidates({0: "a"}))  # build the column-0 index
         clone = r.copy(with_indexes=True)
         assert set(clone._indexes) == {0}
         assert set(clone.candidates({0: "a"})) == {("a", "b"), ("a", "c")}
 
     def test_copied_indexes_are_independent(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         list(r.candidates({0: "a"}))
         clone = r.copy(with_indexes=True)
         clone.add(("a", "z"))
@@ -133,24 +138,24 @@ class TestValueSemantics:
         assert set(r.candidates({0: "a"})) == {("a", "b")}
 
     def test_row_set_is_live(self):
-        r = Relation("edge", 2, [("a", "b")])
+        r = ColumnarRelation("edge", 2, [("a", "b")])
         rows = r.row_set()
         r.add(("b", "c"))
-        assert rows == {("a", "b"), ("b", "c")}
+        assert decoded(rows) == {("a", "b"), ("b", "c")}
 
     def test_equality_by_contents(self):
-        r1 = Relation("edge", 2, [("a", "b")])
-        r2 = Relation("edge", 2, [("a", "b")])
+        r1 = ColumnarRelation("edge", 2, [("a", "b")])
+        r2 = ColumnarRelation("edge", 2, [("a", "b")])
         assert r1 == r2
         r2.add(("b", "c"))
         assert r1 != r2
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
-            hash(Relation("edge", 2))
+            hash(ColumnarRelation("edge", 2))
 
     def test_rows_snapshot_safe(self):
-        r = Relation("edge", 2, [("a", "b"), ("b", "c")])
+        r = ColumnarRelation("edge", 2, [("a", "b"), ("b", "c")])
         for row in r.rows():
             r.discard(row)  # no RuntimeError from mutation during iteration
         assert len(r) == 0
@@ -160,44 +165,44 @@ class TestCompositeIndexes:
     """Multi-column hash indexes: registration, probing, maintenance."""
 
     def setup_method(self):
-        self.r = Relation(
+        self.r = ColumnarRelation(
             "t",
             3,
             [("a", "b", "c"), ("a", "b", "d"), ("a", "x", "c"), ("b", "b", "c")],
         )
 
     def test_candidates_key_unbound_scans_all(self):
-        assert set(self.r.candidates_key((), ())) == set(self.r)
+        assert decoded(self.r.candidates_key((), native())) == set(self.r)
 
     def test_candidates_key_single_column(self):
-        assert set(self.r.candidates_key((1,), ("b",))) == {
+        assert decoded(self.r.candidates_key((1,), native("b"))) == {
             ("a", "b", "c"),
             ("a", "b", "d"),
             ("b", "b", "c"),
         }
 
     def test_candidates_key_composite(self):
-        assert set(self.r.candidates_key((0, 1), ("a", "b"))) == {
+        assert decoded(self.r.candidates_key((0, 1), native("a", "b"))) == {
             ("a", "b", "c"),
             ("a", "b", "d"),
         }
-        assert set(self.r.candidates_key((0, 2), ("a", "c"))) == {
+        assert decoded(self.r.candidates_key((0, 2), native("a", "c"))) == {
             ("a", "b", "c"),
             ("a", "x", "c"),
         }
 
     def test_candidates_key_composite_miss(self):
-        assert tuple(self.r.candidates_key((0, 1), ("z", "z"))) == ()
+        assert tuple(self.r.candidates_key((0, 1), native("z", "z"))) == ()
 
     def test_candidates_key_fully_bound_is_membership(self):
-        assert tuple(self.r.candidates_key((0, 1, 2), ("a", "b", "c"))) == (
-            ("a", "b", "c"),
+        assert tuple(self.r.candidates_key((0, 1, 2), native("a", "b", "c"))) == (
+            native("a", "b", "c"),
         )
-        assert tuple(self.r.candidates_key((0, 1, 2), ("a", "b", "z"))) == ()
+        assert tuple(self.r.candidates_key((0, 1, 2), native("a", "b", "z"))) == ()
         assert not self.r._composite  # no composite index materialised
 
     def test_composite_probe_registers_signature(self):
-        self.r.candidates_key((0, 1), ("a", "b"))
+        self.r.candidates_key((0, 1), native("a", "b"))
         assert (0, 1) in self.r._registered
 
     def test_register_index_rejects_trivial_signatures(self):
@@ -206,7 +211,7 @@ class TestCompositeIndexes:
         assert not self.r._registered
 
     def test_composite_maintained_across_interleaved_mutation(self):
-        probe = lambda: set(self.r.candidates_key((0, 1), ("a", "b")))
+        probe = lambda: decoded(self.r.candidates_key((0, 1), native("a", "b")))
         assert probe() == {("a", "b", "c"), ("a", "b", "d")}
         self.r.add(("a", "b", "e"))
         assert probe() == {("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")}
@@ -218,44 +223,44 @@ class TestCompositeIndexes:
 
     def test_no_stale_rows_after_discard(self):
         # Regression: a discarded row must not linger in composite buckets.
-        self.r.candidates_key((0, 1), ("a", "b"))  # build the index
+        self.r.candidates_key((0, 1), native("a", "b"))  # build the index
         self.r.discard(("a", "b", "c"))
-        assert ("a", "b", "c") not in set(self.r.candidates_key((0, 1), ("a", "b")))
+        assert ("a", "b", "c") not in decoded(self.r.candidates_key((0, 1), native("a", "b")))
         # ... and re-adding it must reappear exactly once.
         self.r.add(("a", "b", "c"))
-        rows = list(self.r.candidates_key((0, 1), ("a", "b")))
-        assert rows.count(("a", "b", "c")) == 1
+        rows = list(self.r.candidates_key((0, 1), native("a", "b")))
+        assert rows.count(native("a", "b", "c")) == 1
 
     def test_clear_drops_buckets_keeps_registration(self):
-        self.r.candidates_key((0, 1), ("a", "b"))
+        self.r.candidates_key((0, 1), native("a", "b"))
         self.r.clear()
         assert not self.r._composite
         assert (0, 1) in self.r._registered
         self.r.add(("a", "b", "z"))
-        assert set(self.r.candidates_key((0, 1), ("a", "b"))) == {("a", "b", "z")}
+        assert decoded(self.r.candidates_key((0, 1), native("a", "b"))) == {("a", "b", "z")}
 
     def test_copy_carries_registration_not_buckets(self):
-        self.r.candidates_key((0, 1), ("a", "b"))
+        self.r.candidates_key((0, 1), native("a", "b"))
         clone = self.r.copy()
         assert (0, 1) in clone._registered
         assert not clone._composite
-        assert set(clone.candidates_key((0, 1), ("a", "b"))) == {
+        assert decoded(clone.candidates_key((0, 1), native("a", "b"))) == {
             ("a", "b", "c"),
             ("a", "b", "d"),
         }
 
     def test_copy_with_indexes_carries_composite_buckets(self):
-        self.r.candidates_key((0, 1), ("a", "b"))
+        self.r.candidates_key((0, 1), native("a", "b"))
         clone = self.r.copy(with_indexes=True)
         assert (0, 1) in clone._composite
         clone.add(("a", "b", "z"))
         clone.discard(("a", "b", "c"))
-        assert set(clone.candidates_key((0, 1), ("a", "b"))) == {
+        assert decoded(clone.candidates_key((0, 1), native("a", "b"))) == {
             ("a", "b", "d"),
             ("a", "b", "z"),
         }
         # The original is untouched.
-        assert set(self.r.candidates_key((0, 1), ("a", "b"))) == {
+        assert decoded(self.r.candidates_key((0, 1), native("a", "b"))) == {
             ("a", "b", "c"),
             ("a", "b", "d"),
         }
@@ -314,6 +319,21 @@ class TestColumnarRelation:
         }
         assert decoded == set(self.r.rows())
 
+    def test_repeated_swap_deletes(self):
+        # Each delete moves the last row into the hole; the moved row's
+        # recorded position must follow it, or deleting it later corrupts
+        # the arrays.
+        r = ColumnarRelation("v", 1, [(v,) for v in "abcde"])
+        remaining = set(r.rows())
+        while remaining:
+            victim = r.rows()[0]
+            assert r.discard(victim)
+            remaining.discard(victim)
+            assert set(r.rows()) == remaining
+            assert {r._interner.value_of(i) for i in r.column(0)} == {
+                row[0] for row in remaining
+            }
+
     def test_discard_last_row(self):
         last = self.r.rows()[-1]
         assert self.r.discard(last)
@@ -366,11 +386,12 @@ class TestColumnarRelation:
         assert all(len(self.r.column(c)) == 0 for c in range(2))
         assert self.r.add(("a", "b"))
 
-    def test_cross_layout_equality(self):
-        row = Relation("edge", 2, self.r.rows())
-        assert self.r == row
-        row.add(("z", "z"))
-        assert self.r != row
+    def test_cross_interner_equality(self):
+        # Relations over different intern tables compare by raw contents.
+        other = ColumnarRelation("edge", 2, self.r.rows(), interner=InternTable())
+        assert self.r == other
+        other.add(("z", "z"))
+        assert self.r != other
 
     def test_zero_arity(self):
         flag = ColumnarRelation("flag", 0, [()])
@@ -386,19 +407,3 @@ class TestColumnarRelation:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(self.r)
-
-
-class TestStorageBackendSwitch:
-    def test_make_relation_follows_backend(self):
-        previous = get_storage_backend()
-        try:
-            set_storage_backend("row")
-            assert isinstance(make_relation("t", 1), Relation)
-            set_storage_backend("columnar")
-            assert isinstance(make_relation("t", 1), ColumnarRelation)
-        finally:
-            set_storage_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_storage_backend("paged")
