@@ -9,11 +9,21 @@ order matters:
   its variables are bound (cheap early pruning).
 * **binding literals** (positive conditions and events) are ordered
   greedily: at each step pick the literal with the most already-bound
-  argument positions (most selective index lookup), breaking ties by
-  fewest free variables, then — when a :class:`~repro.engine.views.FactsView`
-  is supplied — by its :meth:`estimate` of the literal's predicate size
-  (smaller relations first), and finally by original body position
+  argument positions (most selective index lookup), then — among equally
+  bound literals — an event before any condition, then fewest free
+  variables, then — when a :class:`~repro.engine.views.FactsView` is
+  supplied — its :meth:`estimate` of the literal's predicate size
+  (smaller relations first), and finally original body position
   (determinism).
+
+Events bind first because of what they range over.  An event literal
+``±a`` is valid iff ``±a`` is in the run's marks ``I±`` (paper §4.3), so
+its candidates come from the marks alone — the transaction's ``U`` plus
+what the run has derived so far — while a condition ranges over
+``D ∪ I+``.
+Seeding the join with the event makes an ECA rule's matching cost track
+the transaction instead of the database.  Every order enumerates the same
+groundings, so the choice never changes a run's result.
 
 The resulting plan is a static property of the rule (plus, optionally,
 the statistics of the view it is first compiled against), computed once
@@ -92,9 +102,10 @@ def plan_body(rule, view=None):
             bound_count = len(literal_vars & bound_vars) + (
                 literal.atom.arity - len(literal_vars)
             )
+            is_condition = isinstance(literal, Condition)
             free_count = len(literal_vars - bound_vars)
             size = estimate(literal.atom.predicate) if estimate is not None else 0
-            key = (-bound_count, free_count, size, position)
+            key = (-bound_count, is_condition, free_count, size, position)
             if best_key is None or key < best_key:
                 best, best_key = (position, literal), key
         if best is None:

@@ -11,6 +11,7 @@ from .graphs import (
     transitive_closure,
 )
 from .hr import deactivation_batch, hr_database, hr_program, payroll_cleanup
+from .ledger import ledger_database, ledger_program
 from .paper import PAPER_EXAMPLES, Section42Policy, paper_example, run_all
 from .random_programs import ProgramGenerator, random_workload
 
@@ -29,6 +30,8 @@ __all__ = [
     "hr_database",
     "hr_program",
     "irreflexive_graph",
+    "ledger_database",
+    "ledger_program",
     "paper_example",
     "run_all",
     "payroll_cleanup",

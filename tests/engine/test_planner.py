@@ -106,3 +106,39 @@ class TestStatsTieBreak:
     def test_no_view_means_position_tie_break(self):
         plan = kinds("m(X), n(Y) -> +q(X, Y).")
         assert plan[0][0] == "m(X)"
+
+
+class TestEventSeeding:
+    """Among equally bound literals an event binds before any condition:
+    an event ranges over the run's marks, a condition over ``D``."""
+
+    def test_event_seeds_the_ledger_rule(self):
+        plan = kinds("+deposit(A, T), account(A), not frozen(A) -> +ledger(A, T).")
+        assert plan == [
+            ("+deposit(A, T)", "bind"),
+            ("not frozen(A)", "check"),
+            ("account(A)", "check"),
+        ]
+
+    def test_event_binds_first_whatever_its_position(self):
+        plan = kinds("frozen(A), +deposit(A, T) -> +held(A, T).")
+        assert plan == [("+deposit(A, T)", "bind"), ("frozen(A)", "check")]
+
+    def test_deletion_event_seeds_too(self):
+        plan = kinds("held(A, T), -frozen(A) -> +ledger(A, T).")
+        assert plan == [("-frozen(A)", "bind"), ("held(A, T)", "bind")]
+
+    def test_constant_bound_condition_still_wins_on_bound_count(self):
+        plan = kinds("+e(X), p(c, Y), q(X, Y) -> +r(X).")
+        assert plan == [
+            ("p(c, Y)", "bind"),
+            ("q(X, Y)", "bind"),
+            ("+e(X)", "check"),
+        ]
+
+    def test_event_precedes_smaller_condition_estimate(self):
+        plan = kinds_with_stats(
+            "account(A), +deposit(A, T) -> +ledger(A, T).",
+            {"account": 1, "deposit": 10_000},
+        )
+        assert plan[0] == ("+deposit(A, T)", "bind")
